@@ -7,11 +7,9 @@
 //!
 //! * `extended` — the engine-speedup trajectory tracked since the engine
 //!   rebuild.
-//! * `deep` — the pruning-efficacy benchmark: a 480-candidate space
-//!   where the per-row residual bound, area-ordered enumeration, and the
-//!   stage-floor clock bound make [`PruneStrategy::Dominated`] skip a
-//!   large fraction of candidate estimations (`candidates_pruned` /
-//!   `clock_bound_cuts` / `bound_tightness` per row).
+//! * `deep` — the 480-candidate space, where the engine's slowdown cuts
+//!   settle part of the space (`candidates_pruned` / `clock_bound_cuts`
+//!   per row, anchored exactly).
 //!
 //! (`paper`, the 12-point space, is also accepted — it is the cheap
 //! label the adapter's own tests and fabricated CLI fixtures use.)
@@ -23,25 +21,15 @@
 //!   faithful baseline: clones the base per candidate, re-synthesizes
 //!   every report, rebuilds dense demand histograms.
 //! * `engine-1-thread` — the allocation-free engine pinned to one thread
-//!   (isolates the algorithmic win from parallel speedup).
-//! * `engine-1-thread-pruned` — one thread plus Dominated pruning with
-//!   the per-row bound and the stage-floor clock cut: the
+//!   (isolates the algorithmic win from parallel speedup): the
 //!   core-count-independent row the cross-host timing gate always
-//!   holds, so the pruning machinery itself can never silently regress.
-//! * `engine-parallel` — the engine on all cores, no pruning.
-//! * `engine-parallel-pruned` — all cores plus lower-bound and
-//!   dominated-candidate pruning with the default
-//!   [`BoundKind::PerRowResidual`] and [`ClockBound::StageFloor`]
-//!   (frontier-preserving).
-//! * `engine-pruned-aggregate` — same, with the looser
-//!   [`BoundKind::Aggregate`] bound (the ablation that shows what the
-//!   per-row residual buys).
+//!   holds.
+//! * `engine-parallel` — the engine on all cores.
 
 use crate::gate::{time_median, BenchReport, EngineRow};
 use rsp_arch::presets;
 use rsp_core::{
-    explore_reference, explore_with, BoundKind, ClockBound, Constraints, DesignSpace,
-    ExploreOptions, Objective, PruneStrategy,
+    explore_reference, explore_with, Constraints, DesignSpace, ExploreOptions, Objective,
 };
 use rsp_kernel::suite;
 use rsp_mapper::{map, MapOptions};
@@ -79,14 +67,8 @@ pub fn run(space: &DesignSpace, space_label: &str, samples: u32) -> BenchReport 
 
     // Each engine run gets a fresh run-local cache (`cache: None`) so the
     // rows measure full cost, not a warmed memo.
-    let engine_opts = |parallelism: Option<usize>,
-                       prune: PruneStrategy,
-                       bound: BoundKind,
-                       clock_bound: ClockBound| ExploreOptions {
+    let engine_opts = |parallelism: Option<usize>| ExploreOptions {
         parallelism,
-        prune,
-        bound,
-        clock_bound,
         constraints,
         objective,
         cache: None,
@@ -124,60 +106,15 @@ pub fn run(space: &DesignSpace, space_label: &str, samples: u32) -> BenchReport 
             feasible: last.feasible.len(),
             candidates_seen: last.stats.candidates_seen,
             candidates_pruned: 0,
-            bound_tightness: 0.0,
             clock_bound_cuts: 0,
-            rearrangements_skipped: 0,
             refill_segments: 0,
             refill_stall_cycles: 0,
         });
         median
     };
 
-    let configs = [
-        (
-            "engine-1-thread",
-            Some(1),
-            PruneStrategy::None,
-            BoundKind::PerRowResidual,
-            ClockBound::Off,
-        ),
-        // Single-threaded pruned row: its ratio to the serial reference
-        // is core-count-independent, so the cross-host timing gate can
-        // always hold it — the row that keeps the pruning machinery
-        // (bound computation, clock floor, area ordering, streaming
-        // frontier) from silently rotting even when the artifact and
-        // the CI runner disagree on core count.
-        (
-            "engine-1-thread-pruned",
-            Some(1),
-            PruneStrategy::Dominated,
-            BoundKind::PerRowResidual,
-            ClockBound::StageFloor,
-        ),
-        (
-            "engine-parallel",
-            None,
-            PruneStrategy::None,
-            BoundKind::PerRowResidual,
-            ClockBound::Off,
-        ),
-        (
-            "engine-parallel-pruned",
-            None,
-            PruneStrategy::Dominated,
-            BoundKind::PerRowResidual,
-            ClockBound::StageFloor,
-        ),
-        (
-            "engine-pruned-aggregate",
-            None,
-            PruneStrategy::Dominated,
-            BoundKind::Aggregate,
-            ClockBound::StageFloor,
-        ),
-    ];
-    for (name, parallelism, prune, bound, clock_bound) in configs {
-        let opts = engine_opts(parallelism, prune, bound, clock_bound);
+    for (name, parallelism) in [("engine-1-thread", Some(1)), ("engine-parallel", None)] {
+        let opts = engine_opts(parallelism);
         let mut last = None;
         let (median, min) = time_median(samples, || {
             last = Some(
@@ -202,9 +139,7 @@ pub fn run(space: &DesignSpace, space_label: &str, samples: u32) -> BenchReport 
             feasible: last.feasible.len(),
             candidates_seen: last.stats.candidates_seen,
             candidates_pruned: last.stats.candidates_pruned,
-            bound_tightness: last.stats.bound_tightness,
             clock_bound_cuts: last.stats.clock_bound_cuts,
-            rearrangements_skipped: 0,
             refill_segments: 0,
             refill_stall_cycles: 0,
         });
@@ -228,35 +163,24 @@ mod tests {
     #[test]
     fn benchmark_runs_and_engines_agree() {
         let report = measure("paper", 2).unwrap();
-        assert_eq!(report.engines.len(), 6);
-        // No-prune engines agree exactly with the reference.
-        let feasible_of = |name: &str| {
-            report
-                .engines
-                .iter()
-                .find(|e| e.name == name)
-                .unwrap()
-                .feasible
-        };
+        let names: Vec<&str> = report.engines.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(
-            feasible_of("serial-reference"),
-            feasible_of("engine-1-thread")
+            names,
+            ["serial-reference", "engine-1-thread", "engine-parallel"]
         );
-        assert_eq!(
-            feasible_of("serial-reference"),
-            feasible_of("engine-parallel")
-        );
-        // Pruned engines report their efficacy.
-        let pruned_row = report
-            .engines
-            .iter()
-            .find(|e| e.name == "engine-parallel-pruned")
-            .unwrap();
-        assert_eq!(pruned_row.candidates_seen, report.candidates);
-        assert!(pruned_row.clock_bound_cuts <= pruned_row.candidates_pruned);
+        // The engines agree exactly with the reference and report their
+        // cuts.
+        for row in &report.engines {
+            assert_eq!(row.feasible, report.engines[0].feasible, "{}", row.name);
+            assert_eq!(row.candidates_seen, report.candidates, "{}", row.name);
+            assert!(
+                row.clock_bound_cuts <= row.candidates_pruned,
+                "{}",
+                row.name
+            );
+        }
         let json = serde_json::to_string_pretty(&report).unwrap();
         assert!(json.contains("serial-reference"));
-        assert!(json.contains("bound_tightness"));
         assert!(json.contains("clock_bound_cuts"));
         // Unknown labels are refused.
         assert!(measure("imaginary", 1).is_none());

@@ -15,36 +15,24 @@
 //!   multi-geometry work plus exact-stage refinement where exploration
 //!   itself is cheap.
 //! * `flow-deep` — the 480-candidate deep space pinned to the paper's
-//!   8×8 base: where estimation-phase pruning, the stage-floor clock
-//!   cut, and the exact-stage dominance cut all bite
-//!   (`candidates_pruned`, `clock_bound_cuts`,
-//!   `rearrangements_skipped` per row).
+//!   8×8 base, with a wide estimation frontier for the exact stage
+//!   (`candidates_pruned` / `clock_bound_cuts` per row).
 //!
 //! Flow configurations measured per space:
 //!
-//! * `serial-reference` — `parallelism: Some(1)`, no pruning: the serial
-//!   geometry oracle, unpruned exploration, and exact rearrangement of
+//! * `serial-reference` — `parallelism: Some(1)`: the serial geometry
+//!   oracle, one-thread exploration, and serial exact rearrangement of
 //!   every frontier candidate. The normalization yardstick.
-//! * `flow-1-thread-pruned` — one thread plus Dominated pruning, the
-//!   per-row residual bound, the stage-floor clock cut, and the
-//!   exact-stage dominance cut: the core-count-independent row the
-//!   cross-host timing gate always holds.
-//! * `flow-parallel` — all cores, no pruning (isolates the fan-out win).
-//! * `flow-parallel-pruned` — all cores plus every cut (the
-//!   production configuration).
+//! * `flow-parallel` — all cores (isolates the fan-out win).
 //!
-//! All rows produce bit-identical flow outputs (property-tested in
+//! Both rows produce bit-identical flow outputs (property-tested in
 //! `rsp-core`); only the work they perform differs. This module also
-//! owns `measure_configs`, the four-configuration measurement scaffold
-//! the workload adapter ([`crate::adapters::workload`]) reuses — only
-//! the workload and the [`FlowConfig`] constructor differ between the
-//! two artifacts.
+//! owns `measure_configs`, the measurement scaffold the workload adapter
+//! ([`crate::adapters::workload`]) reuses — only the workload and the
+//! [`FlowConfig`] constructor differ between the two artifacts.
 
 use crate::gate::{time_median, BenchReport, EngineRow};
-use rsp_core::{
-    run_flow, AppProfile, BoundKind, ClockBound, DesignSpace, FlowConfig, FlowReport, Objective,
-    PruneStrategy,
-};
+use rsp_core::{run_flow, AppProfile, DesignSpace, FlowConfig, FlowReport, Objective};
 use rsp_kernel::suite;
 use std::hint::black_box;
 
@@ -64,20 +52,15 @@ fn space_for(label: &str) -> Option<(DesignSpace, Vec<(usize, usize)>)> {
         // fan out (the serial oracle walks them smallest first).
         "flow-paper" => Some((DesignSpace::paper(), vec![(4, 4), (6, 6), (8, 8)])),
         // Pinned to the paper's 8×8 so the deep space's wide frontier
-        // (and with it all three pruning counters) stays exercised — on
-        // the 4×4 the smallest feasible base, which the flow would
-        // otherwise select, the frontier collapses to two points.
+        // stays exercised — on the 4×4, the smallest feasible base the
+        // flow would otherwise select, the frontier collapses to two
+        // points.
         "flow-deep" => Some((DesignSpace::deep(), vec![(8, 8)])),
         _ => None,
     }
 }
 
-fn config(
-    label: &str,
-    parallelism: Option<usize>,
-    prune: PruneStrategy,
-    clock_bound: ClockBound,
-) -> FlowConfig {
+fn config(label: &str, parallelism: Option<usize>) -> FlowConfig {
     let (space, geometries) = space_for(label).expect("known flow label");
     FlowConfig {
         coverage: 1.0,
@@ -85,9 +68,6 @@ fn config(
         space,
         objective: Objective::AreaDelayProduct,
         parallelism,
-        prune,
-        bound: BoundKind::PerRowResidual,
-        clock_bound,
         ..FlowConfig::default()
     }
 }
@@ -109,75 +89,44 @@ fn row_from(
         feasible: report.exploration.feasible.len(),
         candidates_seen: report.exploration.stats.candidates_seen,
         candidates_pruned: report.stats.candidates_pruned,
-        bound_tightness: report.exploration.stats.bound_tightness,
         clock_bound_cuts: report.stats.clock_bound_cuts,
-        rearrangements_skipped: report.stats.rearrangements_skipped,
         refill_segments: report.stats.refill_segments,
         refill_stall_cycles: report.stats.refill_stall_cycles,
     }
 }
 
-/// Measures the four tracked flow configurations (`serial-reference`,
-/// `flow-1-thread-pruned`, `flow-parallel`, `flow-parallel-pruned`)
-/// over `apps` and assembles the report — the scaffold shared with the
-/// workload adapter; only the workload and the [`FlowConfig`]
-/// constructor differ between the artifacts.
+/// Measures the two tracked flow configurations (`serial-reference`,
+/// `flow-parallel`) over `apps` and assembles the report — the scaffold
+/// shared with the workload adapter; only the workload and the
+/// [`FlowConfig`] constructor differ between the artifacts.
 pub(crate) fn measure_configs(
     label: &str,
     apps: &[AppProfile],
     candidates: usize,
     samples: u32,
-    config: &dyn Fn(Option<usize>, PruneStrategy, ClockBound) -> FlowConfig,
+    config: &dyn Fn(Option<usize>) -> FlowConfig,
 ) -> BenchReport {
     let mut rows: Vec<EngineRow> = Vec::new();
-
-    let (reference_median, selected_pe_count) = {
-        let cfg = config(Some(1), PruneStrategy::None, ClockBound::Off);
+    let mut reference_median = 0u64;
+    let mut selected_pe_count = 0;
+    for (name, parallelism) in [("serial-reference", Some(1)), ("flow-parallel", None)] {
+        let cfg = config(parallelism);
         let mut last = None;
         let (median, min) = time_median(samples, || {
             last = Some(run_flow(black_box(apps), &cfg).expect("flow runs"));
         });
         let last = last.unwrap();
-        let selected = last.base.geometry().pe_count();
-        rows.push(row_from(
-            "serial-reference",
-            median,
-            min,
-            samples,
-            median,
-            &last,
-        ));
-        (median, selected)
-    };
-
-    let configs = [
-        (
-            "flow-1-thread-pruned",
-            Some(1),
-            PruneStrategy::Dominated,
-            ClockBound::StageFloor,
-        ),
-        ("flow-parallel", None, PruneStrategy::None, ClockBound::Off),
-        (
-            "flow-parallel-pruned",
-            None,
-            PruneStrategy::Dominated,
-            ClockBound::StageFloor,
-        ),
-    ];
-    for (name, parallelism, prune, clock_bound) in configs {
-        let cfg = config(parallelism, prune, clock_bound);
-        let mut last = None;
-        let (median, min) = time_median(samples, || {
-            last = Some(run_flow(black_box(apps), &cfg).expect("flow runs"));
-        });
+        if name == "serial-reference" {
+            reference_median = median;
+            selected_pe_count = last.base.geometry().pe_count();
+        }
         rows.push(row_from(
             name,
             median,
             min,
             samples,
             reference_median,
-            &last.unwrap(),
+            &last,
         ));
     }
 
@@ -203,7 +152,7 @@ pub fn measure(label: &str, samples: u32) -> Option<BenchReport> {
         &apps,
         space.plans().count(),
         samples,
-        &|parallelism, prune, clock_bound| config(label, parallelism, prune, clock_bound),
+        &|parallelism| config(label, parallelism),
     ))
 }
 
@@ -214,21 +163,18 @@ mod tests {
     #[test]
     fn flow_benchmark_runs_and_reports_cut_counters() {
         let report = measure("flow-paper", 1).unwrap();
-        assert_eq!(report.engines.len(), 4);
-        assert_eq!(report.engines[0].name, "serial-reference");
+        let names: Vec<&str> = report.engines.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["serial-reference", "flow-parallel"]);
         // The generated matmul11 overflows the 4×4, so the multi-geometry
         // exploration escalates to the 6×6 — no more 4×4 early exit.
         assert_eq!(report.selected_pe_count, 36);
-        // Unpruned rows report no cuts; pruned rows may.
-        let row = |name: &str| report.engines.iter().find(|e| e.name == name).unwrap();
-        assert_eq!(row("serial-reference").candidates_pruned, 0);
-        assert_eq!(row("serial-reference").rearrangements_skipped, 0);
-        assert_eq!(row("flow-parallel").rearrangements_skipped, 0);
-        let pruned = row("flow-parallel-pruned");
-        assert!(pruned.clock_bound_cuts <= pruned.candidates_pruned);
+        // Both rows run the one engine, so they report the same cuts.
+        let (serial, parallel) = (&report.engines[0], &report.engines[1]);
+        assert_eq!(serial.candidates_pruned, parallel.candidates_pruned);
+        assert!(parallel.clock_bound_cuts <= parallel.candidates_pruned);
         // Same artifact schema as the exploration benchmark.
         let json = serde_json::to_string_pretty(&report).unwrap();
-        assert!(json.contains("rearrangements_skipped"));
+        assert!(json.contains("refill_segments"));
         // Unknown labels are refused.
         assert!(measure("flow-imaginary", 1).is_none());
     }

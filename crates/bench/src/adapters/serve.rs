@@ -131,9 +131,7 @@ fn row_from(
         feasible: report.exploration.feasible.len(),
         candidates_seen: report.exploration.stats.candidates_seen,
         candidates_pruned: report.stats.candidates_pruned,
-        bound_tightness: report.exploration.stats.bound_tightness,
         clock_bound_cuts: report.stats.clock_bound_cuts,
-        rearrangements_skipped: report.stats.rearrangements_skipped,
         refill_segments: report.stats.refill_segments,
         refill_stall_cycles: report.stats.refill_stall_cycles,
     }

@@ -39,8 +39,8 @@
 use crate::gate::{time_median, BenchReport, EngineRow};
 use rsp_arch::presets;
 use rsp_core::{
-    explore_reference, explore_resume, explore_with, BoundKind, ClockBound, Constraints,
-    DesignSpace, ExploreControl, ExploreOptions, Objective, PruneStrategy,
+    explore_reference, explore_resume, explore_with, Constraints, DesignSpace, ExploreControl,
+    ExploreOptions, Objective,
 };
 use rsp_kernel::suite;
 use rsp_mapper::{map, MapOptions};
@@ -90,9 +90,6 @@ pub fn run(samples: u32) -> BenchReport {
 
     let opts = |control: ExploreControl| ExploreOptions {
         parallelism: Some(1),
-        prune: PruneStrategy::LowerBound,
-        bound: BoundKind::PerRowResidual,
-        clock_bound: ClockBound::StageFloor,
         constraints: Constraints::default(),
         objective: Objective::AreaDelayProduct,
         cache: None,
@@ -113,9 +110,7 @@ pub fn run(samples: u32) -> BenchReport {
                 feasible: r.feasible.len(),
                 candidates_seen: r.stats.candidates_seen,
                 candidates_pruned: r.stats.candidates_pruned,
-                bound_tightness: r.stats.bound_tightness,
                 clock_bound_cuts: r.stats.clock_bound_cuts,
-                rearrangements_skipped: 0,
                 refill_segments: 0,
                 refill_stall_cycles: 0,
             });

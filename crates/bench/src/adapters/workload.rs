@@ -19,18 +19,13 @@
 //! row, exact-drift-checked by the shared gate.
 //!
 //! One tracked label (`flow-workload`, the paper's 12-point space) with
-//! the same four configurations as the flow adapter: `serial-reference`,
-//! `flow-1-thread-pruned` (the core-count-independent row the
-//! cross-host timing gate always holds), `flow-parallel`, and
-//! `flow-parallel-pruned`. All rows produce bit-identical flow outputs;
+//! the same two configurations as the flow adapter: `serial-reference`
+//! and `flow-parallel`. Both rows produce bit-identical flow outputs;
 //! only the work they perform differs.
 
 use crate::adapters::flow::measure_configs;
 use crate::gate::BenchReport;
-use rsp_core::{
-    AppProfile, BoundKind, ClockBound, Constraints, DesignSpace, FlowConfig, Objective,
-    PruneStrategy,
-};
+use rsp_core::{AppProfile, Constraints, DesignSpace, FlowConfig, Objective};
 use rsp_workload::{registry, SUITE_MAX_SLOWDOWN};
 
 /// The generated workload suite as one domain, coverage 1.0 so every
@@ -42,7 +37,7 @@ fn workload() -> Vec<AppProfile> {
     )]
 }
 
-fn config(parallelism: Option<usize>, prune: PruneStrategy, clock_bound: ClockBound) -> FlowConfig {
+fn config(parallelism: Option<usize>) -> FlowConfig {
     FlowConfig {
         coverage: 1.0,
         // Genuinely multi-geometry: nothing pins the 8×8 — the suite
@@ -51,9 +46,6 @@ fn config(parallelism: Option<usize>, prune: PruneStrategy, clock_bound: ClockBo
         space: DesignSpace::paper(),
         objective: Objective::AreaDelayProduct,
         parallelism,
-        prune,
-        bound: BoundKind::PerRowResidual,
-        clock_bound,
         // The suite-wide cap (rationale on the constant): the paper's
         // 1.5× would reject the whole space under matmul16's stall
         // estimates.
@@ -67,8 +59,8 @@ fn config(parallelism: Option<usize>, prune: PruneStrategy, clock_bound: ClockBo
 
 /// Measures the tracked label (`flow-workload`) with `samples` measured
 /// repetitions per configuration; `None` for an unknown label. The
-/// four-configuration measurement scaffold is shared with the flow
-/// adapter ([`crate::adapters::flow`]).
+/// measurement scaffold is shared with the flow adapter
+/// ([`crate::adapters::flow`]).
 pub fn measure(label: &str, samples: u32) -> Option<BenchReport> {
     if label != "flow-workload" {
         return None;
@@ -91,7 +83,7 @@ mod tests {
     fn workload_benchmark_selects_the_8x8_geometry() {
         let report = measure("flow-workload", 1).unwrap();
         assert_eq!(report.selected_pe_count, 64);
-        assert_eq!(report.engines.len(), 4);
+        assert_eq!(report.engines.len(), 2);
         assert_eq!(report.engines[0].name, "serial-reference");
         assert_eq!(report.kernels, registry().len());
         // matmul16 forces the exact stage through the schedule splitter

@@ -55,8 +55,8 @@
 //! `--profile <bench-id>` runs one registry benchmark (default 1 sample
 //! per row, override with `--samples`) with an in-memory recorder
 //! installed as the process-global `rsp_obs` recorder, then prints the
-//! per-phase time breakdown — exploration's enumerate/prepare/screen/
-//! estimate chunks, the flow's profile/select/explore/exact phases,
+//! per-phase time breakdown — exploration's prepare/screen chunks, the
+//! flow's profile/select/explore/exact phases,
 //! prune and refill counters — aggregated across every event the run
 //! emitted. Observational only: the benchmark's anchors still assert.
 //!

@@ -273,9 +273,7 @@ mod tests {
             feasible,
             candidates_seen: 48,
             candidates_pruned: 0,
-            bound_tightness: 0.0,
             clock_bound_cuts: 0,
-            rearrangements_skipped: 0,
             refill_segments: 0,
             refill_stall_cycles: 0,
         }

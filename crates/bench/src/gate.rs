@@ -3,8 +3,8 @@
 //! Every artifact the registry tracks ([`crate::registry`]) uses the
 //! same rebar-style shape: [`BenchReport`]s of [`EngineRow`]s with
 //! median-of-N and best-of-N wall-clock plus correctness anchors
-//! (feasible-design counts, refill and pruning counters, bitwise bound
-//! tightness, the selected base geometry), and one `serial-reference`
+//! (feasible-design counts, refill and pruning counters, the selected
+//! base geometry), and one `serial-reference`
 //! row per report serving as the
 //! normalization yardstick. [`check_with`] implements the gate shared
 //! by all of them: a row regresses only when its reference-normalized
@@ -32,28 +32,18 @@ pub struct EngineRow {
     /// median).
     pub speedup_vs_reference: f64,
     /// Feasible designs the run produced (sanity anchor: engines must
-    /// agree unless pruning legitimately drops dominated points).
+    /// agree).
     pub feasible: usize,
     /// Candidate plans enumerated from the space (exact-drift anchor:
     /// the enumeration is deterministic, so any change is a code
     /// change).
     pub candidates_seen: usize,
-    /// Candidates whose full estimation pruning skipped (exact-drift
-    /// anchor: pruning decisions are deterministic at every thread
-    /// count).
+    /// Candidates the engine cut on the slowdown constraint (exact-drift
+    /// anchor: cut decisions are deterministic at every thread count).
     pub candidates_pruned: usize,
-    /// Mean lower-bound / full-estimate ratio over estimated candidates
-    /// (1.0 = exact bound; 0.0 = pruning disabled, no bounds computed).
-    /// Anchored bitwise: the accumulator runs serially in enumeration
-    /// order, so the committed value reproduces to the bit.
-    pub bound_tightness: f64,
     /// Candidates the stage-floor clock bound cut before delay
     /// synthesis (subset of `candidates_pruned`; exact-drift anchor).
     pub clock_bound_cuts: usize,
-    /// Flow rows only: frontier candidates whose exact rearrangement
-    /// the objective-score cut skipped (0 for pure-exploration rows;
-    /// exact-drift anchor).
-    pub rearrangements_skipped: usize,
     /// Flow rows only: configuration-cache refills performed across the
     /// exact rearrangements (schedule segments beyond the first). A
     /// correctness anchor: the `flow-workload` report records a nonzero
@@ -116,7 +106,7 @@ pub fn render(report: &BenchReport) -> String {
         let _ = writeln!(
             s,
             "  {:<24} {:>10.3} ms   {:>6.2}x   ({} feasible, {}/{} pruned \
-             [{} clock-cut], {} rearr. skipped, {} refills/{} stall-cyc, tightness {:.3})",
+             [{} clock-cut], {} refills/{} stall-cyc)",
             e.name,
             e.median_ns as f64 / 1e6,
             e.speedup_vs_reference,
@@ -124,10 +114,8 @@ pub fn render(report: &BenchReport) -> String {
             e.candidates_pruned,
             e.candidates_seen,
             e.clock_bound_cuts,
-            e.rearrangements_skipped,
             e.refill_segments,
             e.refill_stall_cycles,
-            e.bound_tightness
         );
     }
     s
@@ -171,8 +159,8 @@ impl CheckOutcome {
 /// A row regresses when its reference-normalized median **and**
 /// best-of-N both exceed the committed ratios by more than `tolerance`
 /// (e.g. `0.15` = +15 %), when a correctness anchor drifts at all
-/// (feasible count, refill counters, pruning counters, bitwise bound
-/// tightness, selected base geometry), or when a committed engine
+/// (feasible count, refill counters, pruning counters, selected base
+/// geometry), or when a committed engine
 /// configuration disappears. The `serial-reference`
 /// row is the yardstick and is checked for anchor drift only; when the
 /// committed `threads` differs from the host's, timing is gated only
@@ -272,29 +260,20 @@ pub fn check_with(
             } else if new_row.candidates_seen != old_row.candidates_seen
                 || new_row.candidates_pruned != old_row.candidates_pruned
                 || new_row.clock_bound_cuts != old_row.clock_bound_cuts
-                || new_row.rearrangements_skipped != old_row.rearrangements_skipped
             {
                 outcome.regressions.push(format!(
                     "{}/{}: pruning anchors drifted {}/{} seen/pruned \
-                     [{} clock-cut, {} rearr. skipped] -> {}/{} [{}, {}]",
+                     [{} clock-cut] -> {}/{} [{}]",
                     old.space,
                     old_row.name,
                     old_row.candidates_seen,
                     old_row.candidates_pruned,
                     old_row.clock_bound_cuts,
-                    old_row.rearrangements_skipped,
                     new_row.candidates_seen,
                     new_row.candidates_pruned,
-                    new_row.clock_bound_cuts,
-                    new_row.rearrangements_skipped
+                    new_row.clock_bound_cuts
                 ));
                 "PRUNE-DRIFT"
-            } else if new_row.bound_tightness.to_bits() != old_row.bound_tightness.to_bits() {
-                outcome.regressions.push(format!(
-                    "{}/{}: bound tightness drifted {} -> {} (bitwise)",
-                    old.space, old_row.name, old_row.bound_tightness, new_row.bound_tightness
-                ));
-                "TIGHTNESS-DRIFT"
             } else if timing_gated && med_ratio > 1.0 + tolerance && min_ratio > 1.0 + tolerance {
                 outcome.regressions.push(format!(
                     "{}/{}: normalized median {:.3}x-ref -> {:.3}x-ref (+{:.0} %) and \

@@ -19,7 +19,7 @@
 //! correctness anchor drifts, or when a committed engine configuration
 //! disappears (full rules in `crates/bench/METHODOLOGY.md`). The rows
 //! also track pruning efficacy (`candidates_pruned`,
-//! `bound_tightness`) so the exploration engine's pruning can never
+//! `clock_bound_cuts`) so the exploration engine's cuts can never
 //! silently rot.
 
 #![warn(missing_docs)]

@@ -309,14 +309,7 @@ fn builtin_defs() -> Vec<BenchDef> {
             title: "exploration engine vs serial reference",
             workload: "paper kernel suite (9 kernels), uniform weights, 8x8 base",
             space: "extended (48 candidates) + deep (480 candidates)",
-            engines: &[
-                "serial-reference",
-                "engine-1-thread",
-                "engine-1-thread-pruned",
-                "engine-parallel",
-                "engine-parallel-pruned",
-                "engine-pruned-aggregate",
-            ],
+            engines: &["serial-reference", "engine-1-thread", "engine-parallel"],
             anchors: &["feasible"],
             labels: &["extended", "deep"],
             default_samples: 21,
@@ -325,20 +318,15 @@ fn builtin_defs() -> Vec<BenchDef> {
         BenchDef {
             id: "rsp/deep100",
             artifact: "BENCH_deep100.json",
-            title: "pruning efficacy on the mixed 11,024-candidate space",
+            title: "exploration of the mixed 11,024-candidate space",
             workload: "paper kernel suite (9 kernels), uniform weights, 8x8 base",
             space: "deep100 (11,024 mixed Mult x Alu x Shifter candidates)",
-            engines: &[
-                "serial-reference",
-                "engine-1-thread-pruned",
-                "engine-parallel-pruned",
-            ],
+            engines: &["serial-reference", "engine-parallel"],
             anchors: &[
                 "candidates_seen=11024",
-                "candidates_pruned (>=60% of seen, asserted in-run)",
-                "bound_tightness=1.0 bitwise (bound-as-estimate reuse)",
+                "candidates_pruned",
                 "clock_bound_cuts",
-                "pruned frontier bit-identical to the unpruned reference (asserted while measuring)",
+                "parallel frontier bit-identical to the one-thread frontier (asserted while measuring)",
             ],
             labels: &["deep100"],
             default_samples: 21,
@@ -347,15 +335,10 @@ fn builtin_defs() -> Vec<BenchDef> {
         BenchDef {
             id: "rsp/flow",
             artifact: "BENCH_flow.json",
-            title: "end-to-end Fig. 7 flow, pruned vs unpruned",
+            title: "end-to-end Fig. 7 flow, serial vs parallel",
             workload: "paper suite + generated matmul11 (overflows the 4x4 cache)",
             space: "flow-paper (12 candidates, 3 geometries) + flow-deep (480, 8x8)",
-            engines: &[
-                "serial-reference",
-                "flow-1-thread-pruned",
-                "flow-parallel",
-                "flow-parallel-pruned",
-            ],
+            engines: &["serial-reference", "flow-parallel"],
             anchors: &[
                 "feasible",
                 "selected_pe_count",
@@ -369,15 +352,10 @@ fn builtin_defs() -> Vec<BenchDef> {
         BenchDef {
             id: "rsp/workload",
             artifact: "BENCH_workload.json",
-            title: "pruned flow over the generated workload suite",
+            title: "Fig. 7 flow over the generated workload suite",
             workload: "generated suite (workloads/, incl. matmul16 + reduce8192x8x8)",
             space: "flow-workload (12 candidates, 3 geometries; suite selects the 8x8)",
-            engines: &[
-                "serial-reference",
-                "flow-1-thread-pruned",
-                "flow-parallel",
-                "flow-parallel-pruned",
-            ],
+            engines: &["serial-reference", "flow-parallel"],
             anchors: &[
                 "feasible",
                 "selected_pe_count=64",
@@ -661,11 +639,7 @@ mod tests {
             reports: vec![crate::adapters::explore::measure("paper", 1).unwrap()],
         };
         cross_host.reports[0].threads += 7;
-        let single_threaded = [
-            "serial-reference",
-            "engine-1-thread",
-            "engine-1-thread-pruned",
-        ];
+        let single_threaded = ["serial-reference", "engine-1-thread"];
         for row in &mut cross_host.reports[0].engines {
             if !single_threaded.contains(&row.name.as_str()) {
                 row.median_ns = 1.max(row.median_ns / 1000);

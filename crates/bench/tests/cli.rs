@@ -309,13 +309,11 @@ fn cmp_renders_a_diff_and_only_fails_on_unreadable_inputs() {
                \"samples\": 5, \"selected_pe_count\": 0, \"engines\": [\
                  {{\"name\": \"serial-reference\", \"median_ns\": 1000000, \"min_ns\": 900000, \
                    \"samples\": 5, \"speedup_vs_reference\": 1.0, \"feasible\": 30, \
-                   \"candidates_seen\": 48, \"candidates_pruned\": 0, \"bound_tightness\": 0.0, \
-                   \"clock_bound_cuts\": 0, \"rearrangements_skipped\": 0, \
+                   \"candidates_seen\": 48, \"candidates_pruned\": 0, \"clock_bound_cuts\": 0, \
                    \"refill_segments\": 0, \"refill_stall_cycles\": 0}}, \
                  {{\"name\": \"engine-1-thread\", \"median_ns\": {median}, \"min_ns\": {median}, \
                    \"samples\": 5, \"speedup_vs_reference\": 1.0, \"feasible\": {feasible}, \
-                   \"candidates_seen\": 48, \"candidates_pruned\": 0, \"bound_tightness\": 0.0, \
-                   \"clock_bound_cuts\": 0, \"rearrangements_skipped\": 0, \
+                   \"candidates_seen\": 48, \"candidates_pruned\": 0, \"clock_bound_cuts\": 0, \
                    \"refill_segments\": 0, \"refill_stall_cycles\": 0}}]}}]}}"
         )
     };

@@ -15,18 +15,16 @@
 //!
 //! # Truncation soundness
 //!
-//! A truncated run is always a *prefix* of the complete run in candidate
-//! order (enumeration order, or the area-sorted order `Dominated` pruning
-//! opts into). Because the engine's prune decisions for a candidate
-//! depend only on earlier candidates, stopping after `k` candidates
-//! evaluates exactly the candidates the complete run evaluates among its
-//! first `k` — so a truncated `feasible` set is a subset of the complete
-//! run's evaluations, the truncated frontier is the exact staircase of
-//! that prefix, and a budget that is *not* hit yields a result
-//! bit-identical to `Complete`. Under the result-preserving strategies
-//! (`None`, `LowerBound`) the truncated result is bit-identical to the
-//! serial reference truncated at the same `k`; these properties are
-//! tested in `tests/anytime.rs`.
+//! A truncated run is always a *prefix* of the complete run in
+//! enumeration order. Because the engine settles each candidate from
+//! that candidate alone, stopping after `k` candidates evaluates exactly
+//! the candidates the complete run evaluates among its first `k` — so a
+//! truncated `feasible` set is a prefix of the complete run's, the
+//! truncated frontier is the exact staircase of that prefix, a budget
+//! that is *not* hit yields a result bit-identical to `Complete`, and
+//! the truncated result is bit-identical to the serial reference
+//! truncated at the same `k`; these properties are tested in
+//! `tests/anytime.rs`.
 //!
 //! # Checkpoint/resume
 //!

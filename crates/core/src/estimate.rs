@@ -61,12 +61,9 @@
 //! row ([`rsp_mapper::CycleView::row_count`]) — into per-suffix tables
 //! `(tᵢ, Sᵢ, Mʳᵢ, Mᶜᵢ)`. Every candidate then evaluates the floor in
 //! O(non-empty cycles) with three divisions per cycle: no per-candidate
-//! allocation, no dense `cycles × rows × cols` histogram. Two bound
-//! strengths are offered ([`BoundKind`]): the aggregate form keeps only
-//! the suffix-total term; the default per-row residual form keeps all
-//! three and equals the full estimate's execution floor bit for bit,
-//! which is what lets the exploration engine reuse a surviving
-//! candidate's pruning bound as its estimate for free.
+//! allocation, no dense `cycles × rows × cols` histogram. Because the
+//! estimate is itself a lower bound, the exploration engine cuts
+//! candidates on it directly.
 
 use rsp_arch::{FuKind, RspArchitecture, SharingPlan};
 use rsp_kernel::Kernel;
@@ -111,55 +108,6 @@ pub struct StallEstimate {
 /// cutting a candidate the reference keeps.
 pub fn refill_stall_estimate(exec_cycles: u32, cache_depth: u32) -> u32 {
     exec_cycles.saturating_sub(cache_depth)
-}
-
-/// Which admissible lower bound on the RS stalls the exploration engine
-/// computes per candidate (see
-/// [`ContextProfile::rs_stalls_lower_bound`]).
-///
-/// Both are admissible against the exact rearranged schedule;
-/// [`BoundKind::PerRowResidual`] is tighter (term-wise at least as
-/// large), equals [`ContextProfile::estimate`]'s execution floor
-/// exactly, and is the default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum BoundKind {
-    /// Only the suffix-total term: per demand suffix,
-    /// `tᵢ + ⌈Sᵢ / (R·shr + C·shc)⌉`. Loose when demand concentrates
-    /// on few rows/columns — aggregate capacity credits banks the
-    /// concentrated demand cannot reach.
-    Aggregate,
-    /// All three suffix terms (total, per-row maximum over
-    /// `shr + C·shc`, per-column maximum over `shc + R·shr`): row- and
-    /// column-local pile-ups are no longer hidden by idle capacity
-    /// elsewhere. Term-wise ≥ [`BoundKind::Aggregate`] and still
-    /// admissible.
-    #[default]
-    PerRowResidual,
-}
-
-/// Which admissible lower bound on a candidate's *clock period* the
-/// exploration engine consults **before** paying for full delay
-/// synthesis — the clock-side sibling of [`BoundKind`] (which bounds the
-/// cycle count). Multiplying the cycle lower bound by an admissible
-/// clock floor yields an execution-time floor; when that floor already
-/// violates `max_slowdown`, the candidate is cut without ever touching
-/// the `ModelCache` delay path. Both settings are result-preserving: a
-/// candidate the floor cuts has `est_et ≥ lb_et ≥ lb_floor_et >
-/// bound` term-wise under IEEE-754 rounding, so the reference rejects it
-/// too.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum ClockBound {
-    /// Always synthesize the clock before any pruning decision.
-    Off,
-    /// Lower-bound the clock from the plan's stage structure alone
-    /// (`rsp_synth::DelayModel::clock_floor_ns`, served through the
-    /// `ModelCache::clock_floor` fast path): each pipeline stage costs at
-    /// least `fu/stages + register + switch + interconnect`, each
-    /// combinational shared resource at least `mux + switch + fu +
-    /// interconnect`, and synthesis refinements only add non-negative
-    /// terms on top.
-    #[default]
-    StageFloor,
 }
 
 /// One demand suffix of one shared kind: everything the slack-aware
@@ -219,20 +167,20 @@ impl SlackProfile {
     /// The slack-aware execution floor this kind's demand imposes on a
     /// candidate with `shr` resources per row bank and `shc` per column
     /// bank: the maximum over suffixes of `tᵢ + ⌈demand / capacity⌉`
-    /// for the terms `bound` selects. 0 when the kind has no demand.
-    fn exec_floor(&self, shr: u32, shc: u32, bound: BoundKind) -> u32 {
+    /// for the suffix-total, row and column terms. 0 when the kind has
+    /// no demand.
+    fn exec_floor(&self, shr: u32, shc: u32) -> u32 {
         debug_assert!(shr + shc > 0, "a shared group provides resources");
         let cap_total = self.rows * shr + self.cols * shc;
         let div_row = shr + self.cols * shc;
         let div_col = shc + self.rows * shr;
         let mut floor = 0u32;
         for s in &self.cycles {
-            let mut need = s.suffix_total.div_ceil(cap_total);
-            if bound == BoundKind::PerRowResidual {
-                need = need
-                    .max(s.suffix_row_max.div_ceil(div_row))
-                    .max(s.suffix_col_max.div_ceil(div_col));
-            }
+            let need = s
+                .suffix_total
+                .div_ceil(cap_total)
+                .max(s.suffix_row_max.div_ceil(div_row))
+                .max(s.suffix_col_max.div_ceil(div_col));
             floor = floor.max(s.cycle + need);
         }
         floor
@@ -306,20 +254,19 @@ impl ContextProfile {
     /// The slack-aware execution-cycle floor for a candidate plan: the
     /// base length or the largest per-group suffix floor, whichever is
     /// greater.
-    fn exec_cycles_floor(&self, plan: &SharingPlan, bound: BoundKind) -> u32 {
+    fn exec_cycles_floor(&self, plan: &SharingPlan) -> u32 {
         let mut exec = self.total_cycles;
         for g in plan.groups() {
             let slack = self
                 .slack_profile(g.kind())
                 .expect("shared kind was profiled for this exploration");
-            exec = exec.max(slack.exec_floor(g.per_row() as u32, g.per_col() as u32, bound));
+            exec = exec.max(slack.exec_floor(g.per_row() as u32, g.per_col() as u32));
         }
         exec
     }
 
     /// Admissible estimate for a candidate plan, using only profiled
-    /// data: the slack-aware execution floor under
-    /// [`BoundKind::PerRowResidual`], plus the greedy-ideal refill
+    /// data: the slack-aware execution floor, plus the greedy-ideal refill
     /// charge for the part beyond the `cache_depth`-deep per-PE
     /// configuration cache ([`refill_stall_estimate`]). Never exceeds
     /// the exact rearranged schedule's elapsed cycles.
@@ -328,7 +275,7 @@ impl ContextProfile {
     ///
     /// Panics if the plan shares a kind that was not profiled.
     pub fn estimate(&self, plan: &SharingPlan, cache_depth: u32) -> StallEstimate {
-        let exec = self.exec_cycles_floor(plan, BoundKind::PerRowResidual);
+        let exec = self.exec_cycles_floor(plan);
         let refill = refill_stall_estimate(exec, cache_depth);
         StallEstimate {
             rs_stalls: exec - self.total_cycles,
@@ -356,16 +303,6 @@ impl ContextProfile {
                 rs_excess(demand, g.per_row() as u32, g.per_col() as u32)
             })
             .sum()
-    }
-
-    /// Admissible lower bound on the RS stalls of the exact rearranged
-    /// schedule: the slack-aware execution floor (see the module docs)
-    /// minus the base length. With [`BoundKind::PerRowResidual`] this
-    /// equals [`ContextProfile::estimate`]'s `rs_stalls` exactly — the
-    /// bound *is* the estimate — so an engine that bounds first and
-    /// estimates survivors pays for the suffix pass once.
-    pub fn rs_stalls_lower_bound(&self, plan: &SharingPlan, bound: BoundKind) -> u32 {
-        self.exec_cycles_floor(plan, bound) - self.total_cycles
     }
 
     /// The paper's §4 RP overhead diagnostic: `stages − 1` per pipelined
@@ -702,71 +639,24 @@ mod tests {
     #[test]
     fn estimate_never_exceeds_greedy_paper_estimate() {
         // The paper's greedy charge describes a legal (if wasteful)
-        // issue assignment, so every admissible bound must stay at or
-        // below base + greedy, for either bound kind.
+        // issue assignment, so the admissible estimate must stay at or
+        // below base + greedy.
         for k in suite::all() {
             let ctx = ctx_for(&k);
             let profile = ContextProfile::new(&ctx, &k, &[rsp_arch::FuKind::Multiplier]);
             for arch in presets::table_architectures() {
                 let greedy = profile.rs_stalls(arch.plan());
-                for bound in [BoundKind::Aggregate, BoundKind::PerRowResidual] {
-                    let lb = profile.rs_stalls_lower_bound(arch.plan(), bound);
-                    assert!(
-                        lb <= greedy,
-                        "{} on {} ({:?}): lb {} > greedy {}",
-                        k.name(),
-                        arch.name(),
-                        bound,
-                        lb,
-                        greedy
-                    );
-                }
+                let est = profile.estimate(arch.plan(), u32::MAX).rs_stalls;
+                assert!(
+                    est <= greedy,
+                    "{} on {}: estimate {} > greedy {}",
+                    k.name(),
+                    arch.name(),
+                    est,
+                    greedy
+                );
             }
         }
-    }
-
-    #[test]
-    fn per_row_residual_bound_dominates_aggregate_bound() {
-        // The per-row residual bound is term-wise at least the
-        // aggregate bound — for every kernel, every sharable kind, and
-        // a grid of bank shapes — strictly beats it somewhere, and
-        // equals the estimate's execution floor exactly (the identity
-        // the engine's bound-reuse fast path relies on).
-        let mut strictly_tighter_somewhere = false;
-        for k in suite::all() {
-            let ctx = ctx_for(&k);
-            for kind in [FuKind::Multiplier, FuKind::Alu, FuKind::Shifter] {
-                let profile = ContextProfile::new(&ctx, &k, &[kind]);
-                for shr in 1..=4usize {
-                    for shc in 0..=4usize {
-                        let Ok(g) = rsp_arch::SharedGroup::new(kind, shr, shc, 1) else {
-                            continue;
-                        };
-                        let plan = rsp_arch::SharingPlan::none().with_group(g).unwrap();
-                        let agg = profile.rs_stalls_lower_bound(&plan, BoundKind::Aggregate);
-                        let per_row =
-                            profile.rs_stalls_lower_bound(&plan, BoundKind::PerRowResidual);
-                        let est = profile.estimate(&plan, u32::MAX);
-                        assert!(
-                            per_row >= agg,
-                            "{} {:?} shr={} shc={}: agg={} perrow={}",
-                            k.name(),
-                            kind,
-                            shr,
-                            shc,
-                            agg,
-                            per_row
-                        );
-                        assert_eq!(per_row, est.rs_stalls, "bound == estimate identity");
-                        strictly_tighter_somewhere |= per_row > agg;
-                    }
-                }
-            }
-        }
-        assert!(
-            strictly_tighter_somewhere,
-            "per-row residual bound never beat the aggregate bound"
-        );
     }
 
     #[test]

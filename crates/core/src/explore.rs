@@ -32,52 +32,28 @@
 //!   O(non-empty cycles) sweep over those tables
 //!   ([`crate::ContextProfile`]). Nothing of size
 //!   `cycles × rows × cols` is ever allocated.
-//! * **Deterministic parallel fan-out** — candidates are processed in
-//!   fixed-size chunks ([`CHUNK`]); each chunk fans out over the rayon
-//!   pool and results are merged back **in enumeration order**, so the
-//!   feasible set, Pareto frontier, and selected optimum are identical
-//!   for any thread count, including `parallelism = Some(1)`.
-//! * **Admissible pruning, bound-as-estimate reuse** — before full
-//!   estimation, a candidate's weighted execution time is bounded from
-//!   below by the slack-aware suffix floor
-//!   ([`crate::ContextProfile::rs_stalls_lower_bound`]); the bound's
-//!   strength is selectable via [`ExploreOptions::bound`]
-//!   ([`BoundKind::PerRowResidual`], the default, adds the per-row and
-//!   per-column residual terms and is bit-identical to the full
-//!   estimate's exec floor — so for survivors the engine *adopts* the
-//!   bound as the estimate instead of recomputing it, and pruning
-//!   bookkeeping costs nothing extra even on spaces too small to prune).
-//!   [`PruneStrategy::LowerBound`] (the default) skips candidates whose
-//!   *lower bound* already violates `max_slowdown` — such candidates are
-//!   provably rejected by the reference too (the bound is term-wise
-//!   monotone under IEEE-754 rounding), so pruning never changes the
-//!   result. [`PruneStrategy::Dominated`] additionally skips candidates
-//!   whose lower bound is already strictly dominated by an accepted
-//!   point; these can never join the Pareto frontier or be selected, but
-//!   they do silently vanish from [`Exploration::feasible`] — hence
-//!   opt-in.
-//! * **Area-ordered enumeration** — under [`PruneStrategy::Dominated`]
-//!   candidates are enumerated in ascending synthesized-area order
-//!   (areas come from the memoized [`ModelCache`] area-only fast path),
-//!   so small, strong designs populate the frontier first and the
-//!   dominated test starts cutting almost immediately instead of after
-//!   most of the space has been estimated. The ordering pre-pass
-//!   constructs each candidate's [`RspArchitecture`] exactly once and
-//!   carries it (with its area report) through to estimation — the
-//!   stream sorts *indices*, so no candidate is rebuilt downstream.
-//! * **Pre-synthesis clock cut** — before a candidate's delay is
-//!   synthesized, its execution time is floored using the admissible
-//!   stage-structure clock bound ([`ClockBound::StageFloor`], served by
-//!   the `ModelCache::clock_floor` fast path) times the admissible
-//!   cycle lower bound. A candidate whose *floored* time already
-//!   violates `max_slowdown` is cut without ever paying for delay
-//!   synthesis — the cheapest possible rejection, counted separately in
-//!   [`PruneStats::clock_bound_cuts`]. Result-preserving for the same
-//!   reason the lower-bound prune is: `est_et ≥ lb_et ≥ lb_floor_et`
-//!   term-wise under IEEE-754 rounding.
+//! * **Two cuts, one candidate at a time** — the estimate is admissible
+//!   (see [`crate::estimate`]), so a candidate is settled by a function
+//!   of that candidate alone, in this order: build it and query its
+//!   area through the memoized fast path; reject it on eq. (2)'s cost
+//!   bound; estimate its cycles; multiply them by the admissible
+//!   stage-structure clock floor (`ModelCache::clock_floor`) and cut it
+//!   when that floored time already violates `max_slowdown`, before
+//!   its delay is ever synthesized ([`PruneStats::clock_bound_cuts`]);
+//!   otherwise synthesize its clock and cut it when its estimated time
+//!   violates `max_slowdown`. Both cuts count in
+//!   [`PruneStats::candidates_pruned`], and neither changes a result:
+//!   the floor never exceeds the clock, so term-wise under IEEE-754
+//!   rounding a clock-cut candidate's estimated time violates the bound
+//!   as well, and the reference rejects every cut candidate too.
+//! * **Deterministic parallel map** — candidates are pulled in
+//!   enumeration order in fixed-size chunks ([`CHUNK`]); each chunk is
+//!   one order-preserving map over the rayon pool, merged serially in
+//!   enumeration order, so the feasible set, Pareto frontier, and
+//!   selected optimum are identical for any thread count, including
+//!   `parallelism = Some(1)`.
 //! * **Streaming frontier** — feasible points stream into a
-//!   [`crate::ParetoFrontier`], which both answers the dominated-pruning
-//!   queries in O(log frontier) and emits the final Pareto set
+//!   [`crate::ParetoFrontier`], which emits the final Pareto set
 //!   incrementally. Its emission is proven (and property-tested)
 //!   bit-identical to the batch [`pareto_indices`] sweep the reference
 //!   performs — frontier *equality*, not merely equivalence — including
@@ -90,29 +66,26 @@
 //!   the truncation-soundness argument. A truncated run can be
 //!   serialized with [`Exploration::checkpoint`] and continued with
 //!   [`explore_resume`] to the bit-identical complete result.
-//! * **Panic isolation** — each candidate's parallel evaluation runs
-//!   under `catch_unwind`; a candidate whose synthesis or estimation
-//!   panics is counted in [`PruneStats::faulted`] and skipped instead of
-//!   poisoning the whole sweep. Surviving results are unaffected: a
-//!   faulted candidate contributes nothing, exactly as if it had been
-//!   rejected.
+//! * **Panic isolation** — each candidate's evaluation runs under
+//!   `catch_unwind` inside the parallel map; a candidate whose synthesis
+//!   or estimation panics is counted in [`PruneStats::faulted`] and
+//!   skipped instead of poisoning the whole sweep. Surviving results are
+//!   unaffected: a faulted candidate contributes nothing, exactly as if
+//!   it had been rejected.
 //!
-//! Pruning efficacy is observable: [`Exploration::stats`] reports
-//! candidates seen/pruned and the measured mean tightness of the lower
-//! bound against the full estimate ([`PruneStats`]).
+//! The cuts are observable: [`Exploration::stats`] reports candidates
+//! seen, pruned, clock-cut, and faulted ([`PruneStats`]).
 
 use crate::control::{Completeness, ControlClock, ExploreControl, TruncationReason};
 use crate::error::RspError;
-use crate::estimate::{
-    estimate_stalls_dense, refill_stall_estimate, BoundKind, ClockBound, ContextProfile,
-};
+use crate::estimate::{estimate_stalls_dense, ContextProfile};
 use crate::frontier::{pareto_indices_of, ParetoFrontier};
 use rayon::prelude::*;
 use rsp_arch::{BaseArchitecture, FuKind, RspArchitecture, SharedGroup, SharingPlan};
 use rsp_kernel::Kernel;
 use rsp_mapper::ConfigContext;
 use rsp_obs::{Recorder, Span, Value};
-use rsp_synth::{AreaModel, AreaReport, DelayModel, ModelCache};
+use rsp_synth::{AreaModel, DelayModel, ModelCache};
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -178,9 +151,7 @@ impl DesignSpace {
     /// A deep space stressing the engine: every sharable kind, pipeline
     /// depths up to the template's maximum of 8, and wide bank ranges —
     /// the SHP-style deep-pipelining sweep the 12-point paper grid only
-    /// hints at. Enumerates lazily under the result-preserving prune
-    /// strategies; [`PruneStrategy::Dominated`] materializes the plan
-    /// list once to sort candidates by synthesized area.
+    /// hints at. Enumerated lazily.
     pub fn deep() -> Self {
         Self {
             shared_kinds: vec![FuKind::Multiplier, FuKind::Alu, FuKind::Shifter],
@@ -196,11 +167,10 @@ impl DesignSpace {
     /// of multiplier, ALU, and shifter sharing — including leaving any
     /// subset unshared — as multi-group plans. 11 024 candidates
     /// (49 × 25 × 9 − 1), ~23× [`deep`](Self::deep) and ~900× the
-    /// 12-point paper grid. Built to stress the admissible slack-aware
-    /// bound: most mixes share the near-saturated ALU or shifter and are
-    /// provably hopeless from their lower bound alone, so the pruned
-    /// engine should skip well over half the space while staying
-    /// frontier-bit-identical to the unpruned sweep.
+    /// 12-point paper grid. Built to stress the engine with
+    /// heterogeneous plans at 10⁴ candidates; it is also where the
+    /// stage-floor clock cut fires (combinational shared multipliers
+    /// next to a single shared ALU per row).
     pub fn deep100() -> Self {
         Self {
             shared_kinds: vec![],
@@ -341,24 +311,6 @@ pub enum Objective {
     Area,
 }
 
-/// How aggressively [`explore_with`] may skip full estimation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum PruneStrategy {
-    /// Estimate every candidate (maximum-fidelity baseline behaviour).
-    None,
-    /// Skip candidates whose admissible execution-time lower bound
-    /// already violates `max_slowdown`. Provably result-preserving:
-    /// every skipped candidate would have been rejected anyway.
-    #[default]
-    LowerBound,
-    /// Additionally skip candidates whose `(area, lower-bound time)` is
-    /// strictly dominated by an already-accepted point. Such candidates
-    /// can never enter the Pareto frontier or be selected as `best`, but
-    /// they are dropped from [`Exploration::feasible`] — opt in when only
-    /// the frontier matters.
-    Dominated,
-}
-
 /// Options for [`explore_with`].
 #[derive(Debug, Clone)]
 pub struct ExploreOptions {
@@ -366,21 +318,6 @@ pub struct ExploreOptions {
     /// available core; `Some(1)` runs in-thread. Results are identical
     /// either way.
     pub parallelism: Option<usize>,
-    /// Pruning aggressiveness (default [`PruneStrategy::LowerBound`]).
-    pub prune: PruneStrategy,
-    /// Strength of the admissible execution-time lower bound pruning
-    /// works with (default [`BoundKind::PerRowResidual`], the tighter
-    /// one). Either kind is result-preserving; the knob exists so the
-    /// aggregate bound stays measurable as a baseline.
-    pub bound: BoundKind,
-    /// Whether to consult the admissible stage-structure clock floor
-    /// before delay synthesis (default [`ClockBound::StageFloor`]).
-    /// Candidates whose floored execution time already violates
-    /// `max_slowdown` are cut without synthesizing their clock; both
-    /// settings are result-preserving, the knob keeps the no-floor
-    /// baseline measurable. Only consulted when `prune` is not
-    /// [`PruneStrategy::None`].
-    pub clock_bound: ClockBound,
     /// Feasibility constraints.
     pub constraints: Constraints,
     /// Selection objective.
@@ -414,9 +351,6 @@ impl Default for ExploreOptions {
     fn default() -> Self {
         Self {
             parallelism: None,
-            prune: PruneStrategy::default(),
-            bound: BoundKind::default(),
-            clock_bound: ClockBound::default(),
             constraints: Constraints::default(),
             objective: Objective::AreaDelayProduct,
             cache: None,
@@ -434,18 +368,13 @@ pub struct PruneStats {
     /// Candidate plans enumerated from the design space (including ones
     /// later rejected by constraints).
     pub candidates_seen: usize,
-    /// Candidates whose full estimation was skipped — by the lower-bound
-    /// slowdown test or, under [`PruneStrategy::Dominated`], the
-    /// dominated-candidate test.
+    /// Candidates cut because their admissible estimate violates
+    /// `max_slowdown` — with the stage-structure clock floor before
+    /// delay synthesis, or with the synthesized clock after it.
     pub candidates_pruned: usize,
-    /// Mean of `lower_bound_et / estimated_et` over the candidates that
-    /// *were* fully estimated (1.0 = the bound is exact; 0.0 when
-    /// pruning was disabled, so no bounds were computed).
-    pub bound_tightness: f64,
     /// Subset of `candidates_pruned` cut by the stage-structure clock
-    /// floor ([`ClockBound::StageFloor`]) *before* delay synthesis —
-    /// these candidates never reached the `ModelCache` delay path at
-    /// all.
+    /// floor *before* delay synthesis — these candidates never reached
+    /// the `ModelCache` delay path at all.
     pub clock_bound_cuts: usize,
     /// Candidates whose evaluation panicked (isolated by
     /// `catch_unwind`) and were skipped instead of aborting the sweep.
@@ -479,25 +408,16 @@ pub struct Exploration {
     /// Indices into `feasible` forming the (area, time) Pareto frontier,
     /// sorted by area.
     pub pareto: Vec<usize>,
-    /// Index into `feasible` of the selected optimum. `usize::MAX` when
-    /// a truncated run has no feasible point yet — use
-    /// [`try_best_point`](Self::try_best_point) when the run may have
-    /// been truncated.
-    pub best: usize,
+    /// Index into `feasible` of the selected optimum; `None` only when a
+    /// truncated run has no feasible point yet.
+    pub best: Option<usize>,
     /// Weighted estimated execution time of the base architecture (ns).
     pub base_et_ns: f64,
-    /// Candidates whose full estimation was skipped by pruning
-    /// (equals `stats.candidates_pruned`; kept as a convenience).
-    pub pruned: usize,
     /// Pruning efficacy counters.
     pub stats: PruneStats,
     /// Whether the whole candidate stream was processed, or the sweep
     /// stopped early under its [`ExploreControl`].
     pub completeness: Completeness,
-    /// `(Σ lb_et/est_et, count)` accumulator behind
-    /// `stats.bound_tightness`, kept exactly so checkpoints restore the
-    /// bit-identical accumulator state.
-    pub(crate) tightness: (f64, usize),
     /// Fingerprint of the options/space this result was computed under,
     /// embedded in checkpoints and validated by [`explore_resume`].
     pub(crate) fingerprint: EngineFingerprint,
@@ -509,15 +429,16 @@ impl Exploration {
     /// # Panics
     ///
     /// When a truncated run found no feasible point yet (`best` is
-    /// `usize::MAX`); use [`try_best_point`](Self::try_best_point) then.
+    /// `None`); use [`try_best_point`](Self::try_best_point) then.
     pub fn best_point(&self) -> &DesignPoint {
-        &self.feasible[self.best]
+        self.try_best_point()
+            .expect("a truncated exploration found no feasible point to select")
     }
 
     /// The selected design point, or `None` when a truncated run has no
     /// feasible point yet.
     pub fn try_best_point(&self) -> Option<&DesignPoint> {
-        self.feasible.get(self.best)
+        self.best.map(|i| &self.feasible[i])
     }
 
     /// The Pareto-frontier points, smallest area first.
@@ -543,8 +464,6 @@ impl Exploration {
             candidates_pruned: self.stats.candidates_pruned,
             clock_bound_cuts: self.stats.clock_bound_cuts,
             faulted: self.stats.faulted,
-            tightness_sum: self.tightness.0,
-            tightness_count: self.tightness.1,
             points: self
                 .feasible
                 .iter()
@@ -563,32 +482,16 @@ impl Exploration {
 }
 
 /// Checkpoint schema version, bumped on incompatible layout changes.
-const CHECKPOINT_VERSION: u32 = 1;
+const CHECKPOINT_VERSION: u32 = 2;
 
 /// Fingerprint of everything that shapes candidate enumeration and
 /// evaluation. A checkpoint embeds one; [`explore_resume`] refuses to
 /// continue under options or a space that fingerprint differently.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub(crate) struct EngineFingerprint {
-    pub(crate) prune: PruneStrategy,
-    pub(crate) bound: BoundKind,
-    pub(crate) clock_bound: ClockBound,
     pub(crate) objective: Objective,
     pub(crate) constraints: Constraints,
     pub(crate) candidates_total: usize,
-}
-
-impl EngineFingerprint {
-    fn of(options: &ExploreOptions, candidates_total: usize) -> Self {
-        Self {
-            prune: options.prune,
-            bound: options.bound,
-            clock_bound: options.clock_bound,
-            objective: options.objective,
-            constraints: options.constraints,
-            candidates_total,
-        }
-    }
 }
 
 /// One feasible point recorded in a checkpoint: the plan (the
@@ -617,8 +520,6 @@ pub struct ExploreCheckpoint {
     candidates_pruned: usize,
     clock_bound_cuts: usize,
     faulted: usize,
-    tightness_sum: f64,
-    tightness_count: usize,
     points: Vec<CheckpointPoint>,
 }
 
@@ -705,63 +606,28 @@ pub fn explore(
     )
 }
 
-/// Fixed chunk size of the deterministic pipeline. Prune decisions for a
-/// candidate may depend on results of *earlier chunks only*, and the
-/// chunk size is a constant (never derived from the thread count), so
-/// every `parallelism` setting takes identical decisions.
+/// Candidates per parallel map. A chunk is assembled by pulling
+/// candidates one at a time — checking the control before every pull —
+/// and then evaluated as one order-preserving map, so a stop lands at an
+/// exact candidate boundary and is noticed within one chunk's work.
+/// Results never depend on the chunk size: no candidate's outcome
+/// depends on another's.
 const CHUNK: usize = 64;
 
-/// One candidate entering the evaluation pipeline.
-enum Seed {
-    /// Lazy enumeration order: the architecture is constructed in
-    /// phase A.
-    Plan(SharingPlan),
-    /// Prebuilt by the Dominated area-ordering pre-pass, carried through
-    /// (with its area report) so phase A never constructs the same
-    /// candidate twice.
-    Built(Box<RspArchitecture>, AreaReport),
-    /// Invalid parameter combination found by the pre-pass; rejected in
-    /// phase A exactly like the lazy path would reject it.
-    Invalid,
-}
-
-/// Phase-A verdict on one candidate. The `Ready` payload is
-/// `(arch, area, clock, cost_ok, lb_cycles, lb_et)`; the lower bound
-/// rides along so the merge phase can measure its tightness against the
-/// full estimate — and, when the bound *is* the estimate (see
-/// [`reuses_bound_as_estimate`]), so phase C can adopt it outright.
-enum Prepared {
-    /// Survived the pre-synthesis checks; clock synthesized.
-    Ready(RspArchitecture, f64, f64, bool, Vec<u32>, f64),
-    /// The stage-floor clock bound alone proves the candidate violates
-    /// `max_slowdown`; its delay was never synthesized.
+/// What the per-candidate map settled for one candidate.
+enum Outcome {
+    /// Passed every constraint; joins the feasible set.
+    Feasible(DesignPoint),
+    /// Its estimate times the stage-structure clock floor already
+    /// violates `max_slowdown`; its delay was never synthesized.
     ClockCut,
+    /// Its estimated execution time violates `max_slowdown`.
+    SlowdownCut,
     /// Construction failed or the eq. (2) cost bound rejects it — the
     /// reference rejects it too.
     Reject,
-    /// The candidate's synthesis panicked; isolated by `catch_unwind`
-    /// and counted in [`PruneStats::faulted`].
-    Faulted,
-}
-
-/// Serial-screen verdict on one prepared candidate.
-enum Screen {
-    /// Estimate fully (or adopt the carried bound as the estimate).
-    Evaluate(RspArchitecture, f64, f64, bool, Vec<u32>, f64),
-    /// Provably infeasible or dominated; skip silently.
-    Prune,
-    /// Fails a hard constraint the reference also applies pre-push.
-    Reject,
-}
-
-/// Phase-C outcome for one screened candidate.
-enum Evaluated {
-    /// Fully estimated, with its lower bound for the tightness stat.
-    Point(Box<DesignPoint>, f64),
-    /// Was pruned or rejected upstream; nothing to merge.
-    Skipped,
-    /// The candidate's estimation panicked; isolated by `catch_unwind`
-    /// and counted in [`PruneStats::faulted`].
+    /// Its evaluation panicked; isolated by `catch_unwind` and counted
+    /// in [`PruneStats::faulted`].
     Faulted,
 }
 
@@ -879,7 +745,11 @@ fn explore_engine(
     let et_bound = constraints.max_slowdown * base_et;
 
     let candidates_total = space.plans().count();
-    let fingerprint = EngineFingerprint::of(options, candidates_total);
+    let fingerprint = EngineFingerprint {
+        objective: options.objective,
+        constraints: *constraints,
+        candidates_total,
+    };
     if let Some(ckpt) = resume {
         validate_checkpoint(ckpt, &fingerprint, base_et)?;
     }
@@ -903,73 +773,66 @@ fn explore_engine(
         .build()
         .expect("thread pool");
 
-    // Candidate stream: enumeration order by default (which is what the
-    // bit-identical guarantee for result-preserving strategies rests
-    // on); under Dominated pruning — which already opts into a reordered
-    // `feasible` — ascending synthesized-area order, computed through
-    // the memoized area-only fast path. Small strong designs then enter
-    // the frontier first, so the dominated test cuts from the start
-    // instead of after most of the space has been estimated. The sort is
-    // stable (enumeration index breaks area ties), which keeps tied
-    // plans in reference order. The pre-pass constructs each candidate
-    // architecture exactly once and the stream carries it — sorted by
-    // index — into phase A, so ordering costs no second construction.
+    // Settles one candidate from its own data alone (see the module
+    // docs). The estimate's weighted time is accumulated in the
+    // reference's association order, `w · cycles · clock` per kernel,
+    // once with the clock floor and once with the synthesized clock.
+    let evaluate = |plan: SharingPlan| -> Outcome {
+        let name = plan_name(&plan);
+        let Ok(arch) = RspArchitecture::new(name, Arc::clone(&base), plan) else {
+            return Outcome::Reject;
+        };
+        let area = models.area_report(&arch);
+        let cost_bound_ok = area.satisfies_cost_bound();
+        if constraints.enforce_cost_bound && !cost_bound_ok {
+            return Outcome::Reject;
+        }
+        let est_cycles: Vec<u32> = profiles
+            .iter()
+            .map(|profile| profile.estimate(arch.plan(), cache_depth).total_cycles)
+            .collect();
+        let weighted_et = |clock_ns: f64| {
+            let mut et = 0.0;
+            for (c, w) in est_cycles.iter().zip(weights) {
+                et += w * *c as f64 * clock_ns;
+            }
+            et
+        };
+        if weighted_et(models.clock_floor(&arch)) > et_bound {
+            return Outcome::ClockCut;
+        }
+        let clock_ns = models.reports(&arch).1.clock_ns;
+        let est_et_ns = weighted_et(clock_ns);
+        if est_et_ns > et_bound {
+            return Outcome::SlowdownCut;
+        }
+        Outcome::Feasible(DesignPoint {
+            arch,
+            area_slices: area.synthesized_slices,
+            clock_ns,
+            est_cycles,
+            est_et_ns,
+            cost_bound_ok,
+        })
+    };
+
     // Observability: spans and prune decisions go to the caller's
     // recorder. Everything below is gated on `obs.enabled()` (directly
-    // or inside `Span`/`count`), so the default `NullRecorder` costs
+    // or inside `Span`/`point`), so the default `NullRecorder` costs
     // one branch per site and zero clock reads.
     let obs = &*options.recorder;
 
-    let enumerate_span = Span::enter(obs, "explore", "enumerate", 0);
-    let mut seeds: Box<dyn Iterator<Item = Seed> + '_> =
-        if options.prune == PruneStrategy::Dominated {
-            let all: Vec<SharingPlan> = space.plans().collect();
-            let mut built: Vec<Option<(Box<RspArchitecture>, AreaReport)>> = pool.install(|| {
-                all.into_par_iter()
-                    .map(|plan| {
-                        let name = plan_name(&plan);
-                        RspArchitecture::new(name, Arc::clone(&base), plan)
-                            .ok()
-                            .map(|arch| {
-                                let area = models.area_report(&arch);
-                                (Box::new(arch), area)
-                            })
-                    })
-                    .collect()
-            });
-            let mut order: Vec<usize> = (0..built.len()).collect();
-            let area_of = |slot: &Option<(Box<RspArchitecture>, AreaReport)>| {
-                slot.as_ref()
-                    .map_or(f64::INFINITY, |(_, a)| a.synthesized_slices)
-            };
-            order.sort_by(|&a, &b| {
-                area_of(&built[a])
-                    .total_cmp(&area_of(&built[b]))
-                    .then(a.cmp(&b))
-            });
-            Box::new(order.into_iter().map(move |i| match built[i].take() {
-                Some((arch, area)) => Seed::Built(arch, area),
-                None => Seed::Invalid,
-            }))
-        } else {
-            Box::new(space.plans().map(Seed::Plan))
-        };
-    drop(enumerate_span);
-
     let mut feasible: Vec<DesignPoint> = Vec::new();
     let mut stats = PruneStats::default();
-    // Tightness accumulator: Σ (lb_et / est_et) over fully estimated
-    // candidates, and how many contributed.
-    let mut tightness = (0.0f64, 0usize);
-    // Streaming frontier: answers Dominated-pruning queries and emits
-    // the final Pareto set, bit-identical to the reference batch sweep.
+    // Streaming frontier: emits the final Pareto set, bit-identical to
+    // the reference batch sweep.
     let mut frontier = ParetoFrontier::new();
 
     // Resume: replay the recorded prefix state — feasible points (their
     // architectures rebuilt from the recorded plans), the frontier
     // (re-inserting the same point sequence reproduces the exact
-    // staircase), the pruning counters, and the tightness accumulator —
-    // then advance the candidate stream past the cursor.
+    // staircase), and the pruning counters — then continue the
+    // candidate stream past the cursor.
     let start_cursor = resume.map_or(0, |c| c.cursor);
     if let Some(ckpt) = resume {
         for p in &ckpt.points {
@@ -991,13 +854,8 @@ fn explore_engine(
         stats.candidates_pruned = ckpt.candidates_pruned;
         stats.clock_bound_cuts = ckpt.clock_bound_cuts;
         stats.faulted = ckpt.faulted;
-        tightness = (ckpt.tightness_sum, ckpt.tightness_count);
-        for _ in 0..start_cursor {
-            if seeds.next().is_none() {
-                break;
-            }
-        }
     }
+    let mut plans = space.plans().skip(start_cursor);
 
     let clock = ControlClock::new(&options.control);
     // Candidates pulled by *this call* (a resumed call's budget is
@@ -1009,14 +867,14 @@ fn explore_engine(
     loop {
         // Assemble the next chunk, checking the control before each
         // pull so truncation lands exactly at a candidate boundary.
-        let mut chunk: Vec<Seed> = Vec::with_capacity(CHUNK);
+        let mut chunk: Vec<SharingPlan> = Vec::with_capacity(CHUNK);
         while chunk.len() < CHUNK {
             if let Some(reason) = clock.stop_reason(consumed + chunk.len()) {
                 truncation = Some(reason);
                 break;
             }
-            match seeds.next() {
-                Some(seed) => chunk.push(seed),
+            match plans.next() {
+                Some(plan) => chunk.push(plan),
                 None => break,
             }
         }
@@ -1024,242 +882,58 @@ fn explore_engine(
             break;
         }
         consumed += chunk.len();
+        let chunk_start = stats.candidates_seen;
         stats.candidates_seen += chunk.len();
 
-        // Phase A (parallel): construct candidates (unless the ordering
-        // pre-pass already did), query areas through the memoized fast
-        // path, compute the admissible cycle lower bound, consult the
-        // stage-floor clock bound, and only then synthesize the clock —
-        // all pure per-plan work, fanned out in stream order.
-        let prepare = |seed: Seed| -> Prepared {
-            let (arch, area) = match seed {
-                Seed::Plan(plan) => {
-                    let name = plan_name(&plan);
-                    let Ok(arch) = RspArchitecture::new(name, Arc::clone(&base), plan) else {
-                        return Prepared::Reject;
-                    };
-                    let area = models.area_report(&arch);
-                    (arch, area)
-                }
-                Seed::Built(arch, area) => (*arch, area),
-                Seed::Invalid => return Prepared::Reject,
-            };
-            let cost_ok = area.satisfies_cost_bound();
-            if constraints.enforce_cost_bound && !cost_ok {
-                // The reference rejects this candidate pre-push,
-                // so its delay need never be synthesized.
-                return Prepared::Reject;
-            }
-            // Term-wise identical arithmetic to the full estimate,
-            // with the exec cycles replaced by the slack-aware exec
-            // floor under the selected bound. Under the default
-            // PerRowResidual bound the floor *is* the estimate's exec
-            // term, so lb_cycles == est_cycles exactly; under the
-            // Aggregate bound it is ≤ term-wise (and the refill charge
-            // is monotone in exec), so lb_et <= est_et under IEEE-754
-            // rounding either way.
-            let mut lb_cycles: Vec<u32> = Vec::new();
-            if options.prune != PruneStrategy::None {
-                lb_cycles.reserve_exact(profiles.len());
-                for profile in profiles.iter() {
-                    let lb_exec = profile.total_cycles()
-                        + profile.rs_stalls_lower_bound(arch.plan(), options.bound);
-                    lb_cycles.push(lb_exec + refill_stall_estimate(lb_exec, cache_depth));
-                }
-                if options.clock_bound == ClockBound::StageFloor {
-                    // Clock floor from the stage structure alone:
-                    // floor <= clock, so term-wise lb_floor_et <=
-                    // lb_et <= est_et — a candidate cut here is
-                    // provably rejected by the reference, and its
-                    // delay synthesis is skipped entirely.
-                    let floor = models.clock_floor(&arch);
-                    let mut lb_floor_et = 0.0;
-                    for (c, w) in lb_cycles.iter().zip(weights) {
-                        lb_floor_et += w * *c as f64 * floor;
-                    }
-                    if lb_floor_et > et_bound {
-                        return Prepared::ClockCut;
-                    }
-                }
-            }
-            let (_, delay) = models.reports(&arch);
-            let mut lb_et = 0.0;
-            for (c, w) in lb_cycles.iter().zip(weights) {
-                lb_et += w * *c as f64 * delay.clock_ns;
-            }
-            Prepared::Ready(
-                arch,
-                area.synthesized_slices,
-                delay.clock_ns,
-                cost_ok,
-                lb_cycles,
-                lb_et,
-            )
-        };
-
         let prepare_span = Span::enter(obs, "explore", "prepare", chunk_index);
-        let prepared: Vec<Prepared> = pool.install(|| {
+        let outcomes: Vec<Outcome> = pool.install(|| {
             chunk
                 .into_par_iter()
                 // Panic isolation *inside* the per-item closure: the
                 // vendored rayon joins its workers with `expect`, so a
                 // panic escaping the closure would abort the whole
                 // sweep instead of poisoning one candidate.
-                .map(|seed| {
-                    catch_unwind(AssertUnwindSafe(|| prepare(seed))).unwrap_or(Prepared::Faulted)
+                .map(|plan| {
+                    catch_unwind(AssertUnwindSafe(|| evaluate(plan))).unwrap_or(Outcome::Faulted)
                 })
                 .collect()
         });
         drop(prepare_span);
 
-        // Phase B (serial, stream order): prune decisions against the
-        // frontier built from earlier chunks only — identical for every
-        // thread count.
+        // Ordered merge: identical to what the serial reference pushes.
         let screen_span = Span::enter(obs, "explore", "screen", chunk_index);
-        let chunk_start = stats.candidates_seen - prepared.len();
-        let mut screened: Vec<Screen> = Vec::with_capacity(prepared.len());
-        for (offset, p) in prepared.into_iter().enumerate() {
+        for (offset, outcome) in outcomes.into_iter().enumerate() {
             // Stream index of this candidate, stable across resumes —
             // the correlation id of its prune/fault events.
             let candidate = (chunk_start + offset) as u64;
-            match p {
-                Prepared::Reject => screened.push(Screen::Reject),
-                Prepared::Faulted => {
-                    // Isolated panic: count it, contribute nothing —
-                    // downstream phases treat it like a rejection.
+            let reason = match outcome {
+                Outcome::Feasible(point) => {
+                    frontier.insert(point.area_slices, point.est_et_ns, feasible.len());
+                    feasible.push(point);
+                    continue;
+                }
+                Outcome::ClockCut => {
+                    stats.clock_bound_cuts += 1;
+                    "clock_floor"
+                }
+                Outcome::SlowdownCut => "lower_bound",
+                Outcome::Reject => continue,
+                Outcome::Faulted => {
                     stats.faulted += 1;
                     rsp_obs::point(obs, "explore", "faulted", candidate, &[]);
-                    screened.push(Screen::Reject);
-                }
-                Prepared::ClockCut => {
-                    stats.candidates_pruned += 1;
-                    stats.clock_bound_cuts += 1;
-                    rsp_obs::point(
-                        obs,
-                        "explore",
-                        "prune",
-                        candidate,
-                        &[("reason", Value::Str("clock_floor"))],
-                    );
-                    screened.push(Screen::Prune);
-                }
-                Prepared::Ready(arch, area_slices, clock_ns, cost_ok, lb_cycles, lb_et) => {
-                    if options.prune != PruneStrategy::None
-                        && (lb_et > et_bound
-                            || (options.prune == PruneStrategy::Dominated
-                                && frontier.dominates(area_slices, lb_et)))
-                    {
-                        stats.candidates_pruned += 1;
-                        if obs.enabled() {
-                            let reason = if lb_et > et_bound {
-                                "lower_bound"
-                            } else {
-                                "dominated"
-                            };
-                            rsp_obs::point(
-                                obs,
-                                "explore",
-                                "prune",
-                                candidate,
-                                &[("reason", Value::Str(reason))],
-                            );
-                        }
-                        screened.push(Screen::Prune);
-                    } else {
-                        screened.push(Screen::Evaluate(
-                            arch,
-                            area_slices,
-                            clock_ns,
-                            cost_ok,
-                            lb_cycles,
-                            lb_et,
-                        ));
-                    }
-                }
-            }
-        }
-        drop(screen_span);
-
-        // Phase C (parallel): full estimation of the survivors; results
-        // come back in enumeration order, each with its lower bound for
-        // the tightness statistic. When the bound is bit-identical to
-        // the estimate ([`reuses_bound_as_estimate`]) the carried
-        // lb_cycles/lb_et are adopted outright — the survivor pays for
-        // the suffix pass once, in phase A, which is what keeps the
-        // pruned engine no slower than the unpruned one even on spaces
-        // too small for pruning to bite.
-        let reuse_bound = reuses_bound_as_estimate(options);
-        let estimate_span = Span::enter(obs, "explore", "estimate", chunk_index);
-        let evaluated: Vec<Evaluated> = pool.install(|| {
-            screened
-                .into_par_iter()
-                .map(|screen| match screen {
-                    Screen::Evaluate(
-                        arch,
-                        area_slices,
-                        clock_ns,
-                        cost_bound_ok,
-                        lb_cycles,
-                        lb_et,
-                    ) => catch_unwind(AssertUnwindSafe(|| {
-                        let (est_cycles, est_et) = if reuse_bound {
-                            (lb_cycles, lb_et)
-                        } else {
-                            let mut est_cycles = Vec::with_capacity(profiles.len());
-                            let mut est_et = 0.0;
-                            for (profile, w) in profiles.iter().zip(weights) {
-                                let est = profile.estimate(arch.plan(), cache_depth);
-                                est_cycles.push(est.total_cycles);
-                                est_et += w * est.total_cycles as f64 * clock_ns;
-                            }
-                            (est_cycles, est_et)
-                        };
-                        Evaluated::Point(
-                            Box::new(DesignPoint {
-                                arch,
-                                area_slices,
-                                clock_ns,
-                                est_cycles,
-                                est_et_ns: est_et,
-                                cost_bound_ok,
-                            }),
-                            lb_et,
-                        )
-                    }))
-                    .unwrap_or(Evaluated::Faulted),
-                    Screen::Prune | Screen::Reject => Evaluated::Skipped,
-                })
-                .collect()
-        });
-        drop(estimate_span);
-
-        // Ordered merge: identical to what the serial reference pushes.
-        for (offset, outcome) in evaluated.into_iter().enumerate() {
-            let (point, lb_et) = match outcome {
-                Evaluated::Point(point, lb_et) => (*point, lb_et),
-                Evaluated::Skipped => continue,
-                Evaluated::Faulted => {
-                    stats.faulted += 1;
-                    rsp_obs::point(
-                        obs,
-                        "explore",
-                        "faulted",
-                        (chunk_start + offset) as u64,
-                        &[],
-                    );
                     continue;
                 }
             };
-            if options.prune != PruneStrategy::None && point.est_et_ns > 0.0 {
-                tightness.0 += lb_et / point.est_et_ns;
-                tightness.1 += 1;
-            }
-            if point.est_et_ns > et_bound {
-                continue;
-            }
-            frontier.insert(point.area_slices, point.est_et_ns, feasible.len());
-            feasible.push(point);
+            stats.candidates_pruned += 1;
+            rsp_obs::point(
+                obs,
+                "explore",
+                "prune",
+                candidate,
+                &[("reason", Value::Str(reason))],
+            );
         }
+        drop(screen_span);
 
         chunk_index += 1;
         if truncation.is_some() {
@@ -1285,26 +959,14 @@ fn explore_engine(
     // `pareto_indices(&feasible)` (see `crate::frontier`'s module docs
     // and property tests), so no batch re-sweep is needed here.
     let pareto = frontier.indices();
-    let best = if pareto.is_empty() {
-        // Only reachable truncated-and-empty: no point to select yet.
-        usize::MAX
-    } else {
-        select(&feasible, &pareto, options.objective)
-    };
-    stats.bound_tightness = if tightness.1 > 0 {
-        tightness.0 / tightness.1 as f64
-    } else {
-        0.0
-    };
+    let best = select(&feasible, &pareto, options.objective);
     Ok(Exploration {
         feasible,
         pareto,
         best,
         base_et_ns: base_et,
-        pruned: stats.candidates_pruned,
         stats,
         completeness,
-        tightness,
         fingerprint,
     })
 }
@@ -1477,49 +1139,26 @@ pub fn explore_reference_with(
     }
 
     let pareto = pareto_indices(&feasible);
-    let best = if pareto.is_empty() {
-        usize::MAX
-    } else {
-        select(&feasible, &pareto, objective)
-    };
+    let best = select(&feasible, &pareto, objective);
     Ok(Exploration {
         feasible,
         pareto,
         best,
         base_et_ns: base_et,
-        pruned: 0,
         stats: PruneStats {
             candidates_seen,
-            candidates_pruned: 0,
-            bound_tightness: 0.0,
-            clock_bound_cuts: 0,
-            faulted: 0,
+            ..PruneStats::default()
         },
         completeness,
-        tightness: (0.0, 0),
-        // The reference evaluates everything: its state is what the
-        // engine produces under `PruneStrategy::None` with the default
-        // bound knobs, so a reference checkpoint resumes through the
-        // engine under exactly those options.
+        // The reference's feasible prefix is the engine's (the engine's
+        // cuts are result-preserving), so a reference checkpoint resumes
+        // through the engine; only its pruning counters start at zero.
         fingerprint: EngineFingerprint {
-            prune: PruneStrategy::None,
-            bound: BoundKind::default(),
-            clock_bound: ClockBound::default(),
             objective,
             constraints: *constraints,
             candidates_total,
         },
     })
-}
-
-/// Whether phase A's lower bound is bit-identical to the full estimate,
-/// so phase C can adopt it instead of re-running the suffix pass. True
-/// under the default [`BoundKind::PerRowResidual`]: the bound and the
-/// estimate share the same slack-aware exec floor and refill charge, and
-/// phase A accumulates `lb_et` with the same float association phase C
-/// would use for `est_et`.
-fn reuses_bound_as_estimate(options: &ExploreOptions) -> bool {
-    options.prune != PruneStrategy::None && options.bound == BoundKind::PerRowResidual
 }
 
 fn plan_name(plan: &SharingPlan) -> String {
@@ -1558,16 +1197,18 @@ fn pareto_indices(points: &[DesignPoint]) -> Vec<usize> {
     pareto_indices_of(&pairs)
 }
 
-fn select(points: &[DesignPoint], pareto: &[usize], objective: Objective) -> usize {
+/// The Pareto point minimizing `objective`; `None` only for an empty
+/// frontier, which a truncated run can leave behind.
+fn select(points: &[DesignPoint], pareto: &[usize], objective: Objective) -> Option<usize> {
     let score = |p: &DesignPoint| match objective {
         Objective::AreaDelayProduct => p.area_slices * p.est_et_ns,
         Objective::ExecutionTime => p.est_et_ns,
         Objective::Area => p.area_slices,
     };
-    *pareto
+    pareto
         .iter()
-        .min_by(|&&a, &&b| score(&points[a]).total_cmp(&score(&points[b])))
-        .expect("pareto frontier is non-empty")
+        .copied()
+        .min_by(|&a, &b| score(&points[a]).total_cmp(&score(&points[b])))
 }
 
 #[cfg(test)]
@@ -1773,26 +1414,29 @@ mod tests {
         assert_eq!(r.feasible.len(), 12);
     }
 
-    #[test]
-    fn engine_matches_reference_bitwise_on_paper_space() {
+    /// Runs the engine at several thread counts and asserts each run is
+    /// bit-identical to the serial reference on `space`; returns the
+    /// last engine run.
+    fn assert_engine_matches_reference(space: &DesignSpace) -> Exploration {
         let (base, kernels, contexts, weights) = setup();
         let reference = explore_reference(
             &base,
             &kernels,
             &contexts,
             &weights,
-            &DesignSpace::paper(),
+            space,
             &Constraints::default(),
             Objective::AreaDelayProduct,
         )
         .unwrap();
+        let mut last = None;
         for parallelism in [Some(1), Some(3), None] {
             let engine = explore_with(
                 &base,
                 &kernels,
                 &contexts,
                 &weights,
-                &DesignSpace::paper(),
+                space,
                 &ExploreOptions {
                     parallelism,
                     ..ExploreOptions::default()
@@ -1810,171 +1454,38 @@ mod tests {
             assert_eq!(engine.pareto, reference.pareto);
             assert_eq!(engine.best, reference.best);
             assert_eq!(engine.base_et_ns.to_bits(), reference.base_et_ns.to_bits());
+            last = Some(engine);
         }
+        last.unwrap()
     }
 
     #[test]
-    fn dominated_pruning_preserves_frontier_and_best() {
-        let (base, kernels, contexts, weights) = setup();
-        let full = explore_with(
-            &base,
-            &kernels,
-            &contexts,
-            &weights,
-            &DesignSpace::extended(),
-            &ExploreOptions {
-                prune: PruneStrategy::None,
-                ..ExploreOptions::default()
-            },
-        )
-        .unwrap();
-        let pruned = explore_with(
-            &base,
-            &kernels,
-            &contexts,
-            &weights,
-            &DesignSpace::extended(),
-            &ExploreOptions {
-                prune: PruneStrategy::Dominated,
-                ..ExploreOptions::default()
-            },
-        )
-        .unwrap();
-        let names = |r: &Exploration| -> Vec<String> {
-            r.pareto_points()
-                .map(|p| p.arch.name().to_string())
-                .collect()
-        };
-        assert_eq!(names(&full), names(&pruned));
-        assert_eq!(
-            full.best_point().arch.name(),
-            pruned.best_point().arch.name()
-        );
-        assert_eq!(
-            full.best_point().est_et_ns.to_bits(),
-            pruned.best_point().est_et_ns.to_bits()
-        );
+    fn engine_matches_reference_bitwise_on_paper_space() {
+        assert_engine_matches_reference(&DesignSpace::paper());
     }
 
     #[test]
-    fn deep_space_dominated_pruning_is_frontier_identical_and_bites() {
-        // The pruning-efficacy regression test: on the deep space the
-        // per-row bound + area-ordered enumeration must skip at least
-        // 20 % of candidate estimations while leaving the Pareto
-        // frontier bit-identical to the unpruned engine.
-        let (base, kernels, contexts, weights) = setup();
-        let run = |prune, bound| {
-            explore_with(
-                &base,
-                &kernels,
-                &contexts,
-                &weights,
-                &DesignSpace::deep(),
-                &ExploreOptions {
-                    prune,
-                    bound,
-                    ..ExploreOptions::default()
-                },
-            )
-            .unwrap()
+    fn clock_floor_cut_matches_reference_where_it_fires() {
+        // A 49-candidate corner of deep100, small enough for the dense
+        // oracle: a combinational shared multiplier plus one shared ALU
+        // per row is where the stage-structure clock floor alone proves
+        // candidates hopeless at the default 1.5× slowdown.
+        let mut space = DesignSpace::deep100();
+        let [mult, alu, shifter] = &mut space.mixes[0][..] else {
+            panic!("deep100 mixes three kinds");
         };
-        let full = run(PruneStrategy::None, BoundKind::PerRowResidual);
-        let pruned = run(PruneStrategy::Dominated, BoundKind::PerRowResidual);
+        (mult.stages, mult.shr, mult.shc) = (vec![1, 2], vec![2], vec![1, 2]);
+        (alu.stages, alu.shr, alu.shc) = (vec![1, 2], vec![1, 2], vec![0]);
+        (shifter.stages, shifter.shr, shifter.shc) = (vec![1], vec![1], vec![0]);
+        assert_eq!(space.plans().count(), 49);
 
-        let frontier = |r: &Exploration| -> Vec<(String, u64, u64)> {
-            r.pareto_points()
-                .map(|p| {
-                    (
-                        p.arch.name().to_string(),
-                        p.area_slices.to_bits(),
-                        p.est_et_ns.to_bits(),
-                    )
-                })
-                .collect()
-        };
-        assert_eq!(frontier(&full), frontier(&pruned));
-        assert_eq!(
-            full.best_point().arch.name(),
-            pruned.best_point().arch.name()
-        );
-
-        assert_eq!(pruned.stats.candidates_seen, full.stats.candidates_seen);
+        let engine = assert_engine_matches_reference(&space);
         assert!(
-            pruned.stats.candidates_pruned * 5 >= pruned.stats.candidates_seen,
-            "pruned only {} of {} candidates (< 20 %)",
-            pruned.stats.candidates_pruned,
-            pruned.stats.candidates_seen
+            engine.stats.clock_bound_cuts > 0,
+            "the stage-floor clock cut never fired"
         );
-        // The tightness statistic is a meaningful ratio: admissible
-        // (≤ 1) and non-trivial on this space.
-        assert!(pruned.stats.bound_tightness > 0.5);
-        assert!(pruned.stats.bound_tightness <= 1.0);
-        // The unpruned engine computes no bounds and says so.
-        assert_eq!(full.stats.candidates_pruned, 0);
-        assert_eq!(full.stats.bound_tightness, 0.0);
-    }
-
-    #[test]
-    fn clock_floor_cut_is_result_preserving_and_bites() {
-        // The stage-floor clock bound must never change any output —
-        // feasible set, frontier, best — while cutting some candidates
-        // before delay synthesis on a space that offers hopeless
-        // ALU-sharing designs.
-        let (base, kernels, contexts, weights) = setup();
-        let space = DesignSpace::deep();
-        let run = |clock_bound, prune| {
-            explore_with(
-                &base,
-                &kernels,
-                &contexts,
-                &weights,
-                &space,
-                &ExploreOptions {
-                    prune,
-                    clock_bound,
-                    ..ExploreOptions::default()
-                },
-            )
-            .unwrap()
-        };
-        for prune in [PruneStrategy::LowerBound, PruneStrategy::Dominated] {
-            let off = run(ClockBound::Off, prune);
-            let floor = run(ClockBound::StageFloor, prune);
-            assert_eq!(off.feasible.len(), floor.feasible.len(), "{prune:?}");
-            for (a, b) in off.feasible.iter().zip(&floor.feasible) {
-                assert_eq!(a.arch.name(), b.arch.name());
-                assert_eq!(a.est_et_ns.to_bits(), b.est_et_ns.to_bits());
-            }
-            assert_eq!(off.pareto, floor.pareto, "{prune:?}");
-            assert_eq!(off.best, floor.best, "{prune:?}");
-            // Every clock cut is one of the pruned candidates, and the
-            // Off run reports none.
-            assert!(floor.stats.clock_bound_cuts <= floor.stats.candidates_pruned);
-            assert_eq!(off.stats.clock_bound_cuts, 0);
-        }
-        // The floor must actually fire somewhere. The admissible bound
-        // is too honest to condemn the single-kind deep grid at the
-        // default slowdown — capacity-wise most of those plans really
-        // could keep up — but the deep100 mixes stack deep pipelines on
-        // several near-saturated kinds at once, and there even the
-        // floored clock proves candidates hopeless pre-synthesis.
-        let floor = explore_with(
-            &base,
-            &kernels,
-            &contexts,
-            &weights,
-            &DesignSpace::deep100(),
-            &ExploreOptions {
-                prune: PruneStrategy::LowerBound,
-                clock_bound: ClockBound::StageFloor,
-                ..ExploreOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(
-            floor.stats.clock_bound_cuts > 0,
-            "stage-floor clock bound never cut a candidate pre-synthesis"
-        );
+        assert!(engine.stats.clock_bound_cuts < engine.stats.candidates_pruned);
+        assert!(!engine.feasible.is_empty());
     }
 
     #[test]
@@ -1997,7 +1508,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(r.pruned > 0, "expected lower-bound prunes");
+        assert!(r.stats.candidates_pruned > 0, "expected lower-bound prunes");
     }
 
     fn nan_point(name: &str, area: f64, et: f64) -> DesignPoint {
@@ -2035,9 +1546,9 @@ mod tests {
             !pareto.contains(&2),
             "NaN-et point must not enter the frontier"
         );
-        let best = select(&points, &pareto, Objective::ExecutionTime);
+        let best = select(&points, &pareto, Objective::ExecutionTime).unwrap();
         assert_eq!(points[best].arch.name(), "ok-fast");
-        let best = select(&points, &pareto, Objective::Area);
+        let best = select(&points, &pareto, Objective::Area).unwrap();
         assert_eq!(points[best].arch.name(), "ok-small");
     }
 }

@@ -13,18 +13,15 @@
 //!                      │
 //!                      v
 //!               RSP Exploration ──> estimation Pareto frontier
-//!                      │    (admissible cycle + stage-floor clock
-//!                      │     bounds prune before delay synthesis;
-//!                      │     dominated candidates never estimated)
+//!                      │    (the admissible estimate cuts hopeless
+//!                      │     candidates, some with the stage-floor
+//!                      │     clock bound before delay synthesis)
 //!                      v
 //!                 RSP Mapping ──> RSP configuration contexts
 //!                           (+ exact performance, Tables 4/5)
 //!                      ^    exact rearrangement refines the frontier:
-//!                      │    candidates fan out per kernel, and the
-//!                      │    objective-score cut — fed by admissible
-//!                      │    exact-time floors — skips rearranging
-//!                      │    candidates that provably cannot win
-//!                      │    (FlowStats counts the skips)
+//!                      │    each candidate's kernels fan out over
+//!                      │    the pool
 //! ```
 //!
 //! Profiling is modelled on synthetic application profiles: each
@@ -32,41 +29,23 @@
 //! is `count × operations`, and the flow keeps the hottest kernels until
 //! the requested coverage of total weight is reached.
 //!
-//! # The exact stage and its objective-score cut
+//! # The exact stage
 //!
 //! The slack-aware estimate *lower*-bounds the exact rearranged elapsed
 //! cycle count (see [`crate::estimate`]'s admissibility argument), so
 //! the estimation-phase optimum is not necessarily the *exact* optimum.
-//! The RSP-mapping stage therefore rearranges the estimation Pareto
-//! candidates in ascending-area order and selects the best under the
-//! flow objective from their **exact** weighted execution times. Under
-//! [`PruneStrategy::Dominated`] a candidate is skipped — its (expensive)
-//! exact rearrangement never runs — when even its admissible exact-time
-//! floor cannot beat the best exact score seen so far: the floor
-//! `Σ (est_cycles × clock) × w` is term-wise `≤` the exact weighted
-//! time under IEEE-754 rounding (because `est_cycles ≤ exact elapsed
-//! cycles` kernel-wise and the two sums share one association order),
-//! and every flow objective is monotone non-decreasing in the time
-//! argument, so `score(area, floor) ≥ best` implies
-//! `score(area, exact) ≥ best`. The unpruned flow replaces its champion
-//! only on a *strictly* smaller score (earliest candidate wins ties),
-//! so a candidate whose exact score is `≥ best` could never have been
-//! selected — skipping it leaves the chosen design, its contexts, and
-//! the Tables 4/5 performance bit-identical to the unpruned flow's,
-//! even when a frontier candidate turns out to be exactly infeasible
-//! (a failed candidate sets no best score and can suppress nothing).
-//! Comparing against the best *score* rather than a stored dominance
-//! frontier is what lets the cut fire on dense frontiers: estimation
-//! Pareto candidates have strictly descending time floors as area
-//! ascends, so no earlier point ever Pareto-dominates a later floor —
-//! but under an area-weighted objective the score floor rises with
-//! area and the cut bites.
+//! The RSP-mapping stage therefore rearranges every estimation Pareto
+//! candidate in ascending-area order and selects the best under the
+//! flow objective from their **exact** weighted execution times. A
+//! candidate replaces the champion only on a *strictly* smaller score,
+//! so the earliest (smallest-area) candidate wins ties; a candidate
+//! that turns out exactly infeasible sets no score and is reported only
+//! when no candidate succeeds.
 
 use crate::control::{Completeness, ControlClock, ExploreControl, TruncationReason};
 use crate::error::RspError;
-use crate::estimate::{BoundKind, ClockBound};
 use crate::explore::{
-    explore_with, Constraints, DesignSpace, Exploration, ExploreOptions, Objective, PruneStrategy,
+    explore_with, Constraints, DesignSpace, Exploration, ExploreOptions, Objective,
 };
 use crate::perf::{perf_from_rearranged_with, KernelPerf};
 use crate::rearrange::{rearrange, RearrangeOptions, Rearranged};
@@ -123,15 +102,6 @@ pub struct FlowConfig {
     /// exact RSP mapping (`None` = all cores; `Some(1)` runs the serial
     /// oracle paths; results are identical either way).
     pub parallelism: Option<usize>,
-    /// Exploration pruning aggressiveness. [`PruneStrategy::Dominated`]
-    /// additionally enables the exact-stage objective-score cut (see the
-    /// module docs) — outputs stay bit-identical.
-    pub prune: PruneStrategy,
-    /// Strength of the admissible lower bound exploration pruning uses.
-    pub bound: BoundKind,
-    /// Whether exploration consults the stage-floor clock bound before
-    /// delay synthesis (default [`ClockBound::StageFloor`]).
-    pub clock_bound: ClockBound,
     /// Synthesis-report memo shared across flows (default `None` = one
     /// fresh cache per exploration, exactly as before). When set, both
     /// the exploration phase and the exact stage's delay queries are
@@ -152,9 +122,9 @@ pub struct FlowConfig {
     /// [`FlowReport::completeness`]; a flow stopped before any usable
     /// result fails with [`RspError::Interrupted`].
     pub control: ExploreControl,
-    /// Recorder phase spans, exact-stage skips, and refill splits are
-    /// reported to (default [`rsp_obs::global`] at construction time).
-    /// Purely observational — see [`ExploreOptions::recorder`].
+    /// Recorder phase spans and refill splits are reported to (default
+    /// [`rsp_obs::global`] at construction time). Purely observational —
+    /// see [`ExploreOptions::recorder`].
     pub recorder: Arc<dyn Recorder>,
 }
 
@@ -170,9 +140,6 @@ impl Default for FlowConfig {
             map_options: MapOptions::default(),
             rearrange_options: RearrangeOptions::default(),
             parallelism: None,
-            prune: PruneStrategy::default(),
-            bound: BoundKind::default(),
-            clock_bound: ClockBound::default(),
             cache: None,
             profiles: None,
             control: ExploreControl::default(),
@@ -205,17 +172,14 @@ pub struct FlowStats {
     pub frontier_candidates: usize,
     /// Frontier candidates whose exact rearrangement ran and succeeded.
     pub rearranged_candidates: usize,
-    /// Frontier candidates the objective-score cut skipped — their exact
-    /// rearrangement (one per critical loop) never ran.
-    pub rearrangements_skipped: usize,
     /// Frontier candidates whose exact rearrangement was attempted but
     /// failed (e.g. the rearranged schedule no longer fits the
-    /// configuration cache). `rearranged_candidates +
-    /// rearrangements_skipped + rearrangements_failed ==
-    /// frontier_candidates` always holds.
+    /// configuration cache). Unless the exact stage was truncated,
+    /// `rearranged_candidates + rearrangements_failed ==
+    /// frontier_candidates`.
     pub rearrangements_failed: usize,
-    /// Candidate estimations the exploration stage skipped
-    /// (`Exploration::stats`, repeated here for one-stop reporting).
+    /// Candidates the exploration stage cut (`Exploration::stats`,
+    /// repeated here for one-stop reporting).
     pub candidates_pruned: usize,
     /// Exploration candidates cut by the stage-floor clock bound before
     /// delay synthesis.
@@ -471,9 +435,6 @@ pub fn run_flow(apps: &[AppProfile], config: &FlowConfig) -> Result<FlowReport, 
         &config.space,
         &ExploreOptions {
             parallelism: config.parallelism,
-            prune: config.prune,
-            bound: config.bound,
-            clock_bound: config.clock_bound,
             constraints: config.constraints,
             objective: config.objective,
             cache: config.cache.clone(),
@@ -495,9 +456,9 @@ pub fn run_flow(apps: &[AppProfile], config: &FlowConfig) -> Result<FlowReport, 
 
     // 4. RSP mapping: exact rearrangement refines the estimation Pareto
     //    frontier. Candidates are processed serially in ascending-area
-    //    order (so skip decisions only ever depend on earlier
-    //    candidates — deterministic for every thread count); each
-    //    candidate's per-kernel rearrangements fan out over the pool.
+    //    order (so the budget and the tie rule see the same sequence at
+    //    every thread count); each candidate's per-kernel
+    //    rearrangements fan out over the pool.
     let delay = DelayModel::new();
     let score_of = |area: f64, et: f64| match config.objective {
         Objective::AreaDelayProduct => area * et,
@@ -510,8 +471,7 @@ pub fn run_flow(apps: &[AppProfile], config: &FlowConfig) -> Result<FlowReport, 
     let mut best_outputs: Option<(Vec<Rearranged>, Vec<KernelPerf>)> = None;
     let mut first_err: Option<RspError> = None;
     // Whatever candidate budget exploration left over is spent here, one
-    // unit per frontier candidate (score-cut-skipped ones included),
-    // against the same deadline clock.
+    // unit per frontier candidate, against the same deadline clock.
     let exact_budget = config
         .control
         .candidate_budget
@@ -525,43 +485,6 @@ pub fn run_flow(apps: &[AppProfile], config: &FlowConfig) -> Result<FlowReport, 
             break;
         }
         exact_processed += 1;
-        if config.prune == PruneStrategy::Dominated {
-            // Admissible exact-time floor: the slack-aware estimate
-            // never exceeds the exact rearranged elapsed cycles
-            // (property-tested in the workload crate's admissibility
-            // suite), so the exact weighted time is at least
-            // Σ est_cycles·clock·w — written in exactly the association
-            // order the exact sum below uses ((cycles × clock) ×
-            // weight), so the floor is term-wise ≤ the exact time under
-            // IEEE-754 rounding, never merely in real arithmetic.
-            let mut lb_exact = 0.0;
-            for (est_c, cl) in point.est_cycles.iter().zip(&critical_loops) {
-                lb_exact += *est_c as f64 * point.clock_ns * cl.weight;
-            }
-            // Objective-score cut: even at its floor, the candidate's
-            // exact score cannot strictly beat the best exact score
-            // already achieved, so the unpruned flow would never select
-            // it (ties keep the earlier, smaller-area candidate there
-            // too). The score is monotone in the time argument for
-            // every objective, so `floor_score ≥ best` implies
-            // `exact_score ≥ best` — the skip is output-preserving.
-            if let Some((_, best_score)) = best {
-                if score_of(point.area_slices, lb_exact)
-                    .total_cmp(&best_score)
-                    .is_ge()
-                {
-                    stats.rearrangements_skipped += 1;
-                    rsp_obs::point(
-                        obs,
-                        "flow",
-                        "exact_skip",
-                        ci as u64,
-                        &[("reason", Value::Str("score_floor"))],
-                    );
-                    continue;
-                }
-            }
-        }
         // One delay synthesis per candidate, shared by every kernel —
         // served from the shared memo when the config carries one (the
         // exploration phase synthesized every frontier plan already).

@@ -6,8 +6,7 @@
 //! exploration performs over the full feasible set, including the sweep's
 //! `1e-12` epsilon and its NaN handling. This is what lets
 //! [`crate::explore_with`] stream large candidate sets without buffering
-//! every feasible point twice, and what makes dominated-candidate pruning
-//! queries O(log frontier) instead of O(feasible).
+//! every feasible point twice or re-sweeping them at the end.
 //!
 //! # Why the staircase store is exact
 //!
@@ -27,22 +26,6 @@
 //! within `1e-12` of each other, ties, NaN areas). `NaN` execution times
 //! can never be accepted by the sweep (`NaN < x` is false) and cannot
 //! influence the running minimum, so they are dropped on arrival.
-//!
-//! # Pruning queries against lower bounds
-//!
-//! [`ParetoFrontier::dominates`] only ever *strictly* compares a stored
-//! point against a candidate's **lower bound** on execution time, so a
-//! positive answer proves the candidate's true point is dominated too
-//! (`et_stored < bound ≤ et_true` with no more area). This is how the
-//! exploration phase's dominated-candidate pruning rejects candidates
-//! from their admissible cycle bounds before any delay synthesis or
-//! estimation runs, while keeping the emitted frontier bit-identical to
-//! the unpruned sweep. Note the converse structural fact the flow's
-//! exact stage exploits instead: points *on* a strict Pareto staircase
-//! have strictly descending times as area ascends, so no frontier point
-//! ever dominates a later frontier point's admissible floor — which is
-//! why the exact stage cuts on objective score, not dominance
-//! ([`crate::run_flow`]'s module docs carry that argument).
 
 /// The sweep epsilon: a point joins the emitted frontier only if its
 /// execution time beats the running best by more than this.
@@ -68,7 +51,6 @@ struct Entry {
 /// assert!(f.insert(10.0, 200.0, 0)); // small & slow: frontier
 /// assert!(f.insert(30.0, 50.0, 1)); // big & fast: frontier
 /// assert!(!f.insert(40.0, 60.0, 2)); // dominated by #1
-/// assert!(f.dominates(35.0, 55.0)); // a (35, ≥55) point can never join
 /// assert_eq!(f.indices(), vec![0, 1]);
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -109,16 +91,6 @@ impl ParetoFrontier {
         self.entries
             .splice(pos..pos + run, [Entry { area, et, index }]);
         true
-    }
-
-    /// Whether a candidate known to cost at least `et_lower_bound` at
-    /// `area` is already strictly dominated — some stored point has
-    /// `area ≤ area` **and** `et < et_lower_bound` — and therefore can
-    /// never join the frontier. This is the pruning query of
-    /// [`crate::PruneStrategy::Dominated`].
-    pub fn dominates(&self, area: f64, et_lower_bound: f64) -> bool {
-        let idx = self.entries.partition_point(|e| e.area <= area);
-        idx > 0 && self.entries[idx - 1].et < et_lower_bound
     }
 
     /// Emits the frontier: the inserted `index` handles in ascending area
@@ -264,16 +236,6 @@ mod tests {
         assert_eq!(f.len(), 1);
         assert_eq!(f.inserted(), 5);
         assert_eq!(f.indices(), vec![4]);
-    }
-
-    #[test]
-    fn dominates_uses_strict_et_and_inclusive_area() {
-        let mut f = ParetoFrontier::new();
-        f.insert(10.0, 100.0, 0);
-        assert!(f.dominates(10.0, 101.0), "same area, worse lb");
-        assert!(!f.dominates(10.0, 100.0), "equal lb is not dominated");
-        assert!(!f.dominates(9.0, 101.0), "smaller area is never covered");
-        assert!(f.dominates(11.0, 100.5));
     }
 
     /// f64 strategy mixing magnitudes where the 1e-12 epsilon is below

@@ -13,33 +13,28 @@
 //!   (`rsp_mapper::split_schedule`) and charged refill stalls
 //!   ([`Rearranged::refill`]) instead of being rejected; the flow and
 //!   [`estimate_stalls`] charge the same penalty
-//!   ([`refill_stall_estimate`]), admissibly — the pruning floors stay
-//!   lower bounds, so pruned flows remain bit-identical.
+//!   ([`refill_stall_estimate`]), admissibly, so the estimate stays a
+//!   lower bound.
 //! * [`estimate_stalls`] — the cheap slack-aware **admissible** estimate
 //!   the exploration stage uses instead of exact remapping: it never
 //!   exceeds the exact rearranged elapsed cycles (property-tested), so
-//!   everything built on it — pruning, the exact stage's score cut —
-//!   preserves the unpruned result bit for bit.
+//!   cutting candidates on it never changes the result.
 //! * [`explore`] — enumerates RSP parameters (`shr`, `shc`, stages,
 //!   resource kinds), applies the eq. (2) cost bound, keeps Pareto points,
-//!   selects an optimum. The engine behind it ([`explore_with`]) prunes
-//!   provably hopeless candidates using an admissible execution-time
-//!   lower bound whose strength is selectable via
-//!   [`ExploreOptions::bound`] ([`BoundKind::PerRowResidual`], the
-//!   tighter default, caps each row's and column's capacity credit at
-//!   its own demand; [`BoundKind::Aggregate`] is the looser baseline),
-//!   streams feasible points through a [`ParetoFrontier`] whose
-//!   emission is bit-identical to the reference batch sweep, and
-//!   reports pruning efficacy — candidates seen/pruned and measured
-//!   bound tightness — in [`Exploration::stats`] ([`PruneStats`]).
+//!   selects an optimum. The engine behind it ([`explore_with`]) settles
+//!   each candidate on its own: it cuts candidates whose estimate,
+//!   times the stage-structure clock floor, already violates the
+//!   slowdown constraint before synthesizing their delay, streams
+//!   feasible points through a [`ParetoFrontier`] whose emission is
+//!   bit-identical to the reference batch sweep, and reports candidates
+//!   seen, pruned and clock-cut in [`Exploration::stats`]
+//!   ([`PruneStats`]).
 //! * [`run_flow`] — the whole Fig. 7 flow: profiling → critical loops →
 //!   base architecture (parallel fan-out over candidate geometries) →
 //!   pipeline mapping → RSP exploration → RSP mapping with exact
-//!   performance, where the exact stage refines the estimation Pareto
-//!   frontier and — under [`PruneStrategy::Dominated`] — skips
-//!   rearranging candidates whose admissible exact-time floor already
-//!   loses to the best exact score. Per-stage work counters surface in
-//!   [`FlowStats`].
+//!   performance, where the exact stage rearranges every estimation
+//!   Pareto candidate and selects on exact times. Per-stage work
+//!   counters surface in [`FlowStats`].
 //!
 //! # Anytime operation
 //!
@@ -91,13 +86,11 @@ mod utilization;
 
 pub use control::{Completeness, ExploreControl, TruncationReason};
 pub use error::RspError;
-pub use estimate::{
-    estimate_stalls, refill_stall_estimate, BoundKind, ClockBound, ContextProfile, StallEstimate,
-};
+pub use estimate::{estimate_stalls, refill_stall_estimate, ContextProfile, StallEstimate};
 pub use explore::{
     explore, explore_reference, explore_reference_with, explore_resume, explore_with, Constraints,
     DesignPoint, DesignSpace, Exploration, ExploreCheckpoint, ExploreOptions, Objective,
-    PruneStats, PruneStrategy,
+    PruneStats,
 };
 pub use flow::{run_flow, AppProfile, CriticalLoop, FlowConfig, FlowReport, FlowStats};
 pub use frontier::ParetoFrontier;

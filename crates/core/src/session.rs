@@ -48,9 +48,9 @@
 
 use crate::control::ExploreControl;
 use crate::error::RspError;
-use crate::estimate::{BoundKind, ClockBound, ContextProfile};
+use crate::estimate::ContextProfile;
 use crate::explore::{
-    explore_with, Constraints, DesignSpace, Exploration, ExploreOptions, Objective, PruneStrategy,
+    explore_with, Constraints, DesignSpace, Exploration, ExploreOptions, Objective,
 };
 use crate::flow::{run_flow, AppProfile, FlowConfig, FlowReport};
 use crate::rearrange::RearrangeOptions;
@@ -158,9 +158,6 @@ impl ProfileCache {
 #[derive(Debug, Clone)]
 pub struct SessionBuilder {
     parallelism: Option<usize>,
-    prune: PruneStrategy,
-    bound: BoundKind,
-    clock_bound: ClockBound,
     constraints: Constraints,
     objective: Objective,
     coverage: f64,
@@ -176,9 +173,6 @@ impl Default for SessionBuilder {
         let flow = FlowConfig::default();
         Self {
             parallelism: flow.parallelism,
-            prune: flow.prune,
-            bound: flow.bound,
-            clock_bound: flow.clock_bound,
             constraints: flow.constraints,
             objective: flow.objective,
             coverage: flow.coverage,
@@ -201,24 +195,6 @@ impl SessionBuilder {
     /// serial; results are identical either way).
     pub fn parallelism(mut self, parallelism: Option<usize>) -> Self {
         self.parallelism = parallelism;
-        self
-    }
-
-    /// Pruning aggressiveness (see [`PruneStrategy`]).
-    pub fn prune(mut self, prune: PruneStrategy) -> Self {
-        self.prune = prune;
-        self
-    }
-
-    /// Lower-bound strength pruning works with (see [`BoundKind`]).
-    pub fn bound(mut self, bound: BoundKind) -> Self {
-        self.bound = bound;
-        self
-    }
-
-    /// Stage-floor clock cut before delay synthesis (see [`ClockBound`]).
-    pub fn clock_bound(mut self, clock_bound: ClockBound) -> Self {
-        self.clock_bound = clock_bound;
         self
     }
 
@@ -394,9 +370,6 @@ impl Session {
     pub fn explore_options(&self, control: ExploreControl) -> ExploreOptions {
         ExploreOptions {
             parallelism: self.config.parallelism,
-            prune: self.config.prune,
-            bound: self.config.bound,
-            clock_bound: self.config.clock_bound,
             constraints: self.config.constraints,
             objective: self.config.objective,
             cache: Some(Arc::clone(&self.models)),
@@ -419,9 +392,6 @@ impl Session {
             map_options: self.config.map_options,
             rearrange_options: self.config.rearrange_options,
             parallelism: self.config.parallelism,
-            prune: self.config.prune,
-            bound: self.config.bound,
-            clock_bound: self.config.clock_bound,
             cache: Some(Arc::clone(&self.models)),
             profiles: Some(Arc::clone(&self.profiles)),
             control,
@@ -530,9 +500,6 @@ mod tests {
         let opts = session.explore_options(ExploreControl::default());
         let defaults = ExploreOptions::default();
         assert_eq!(opts.parallelism, defaults.parallelism);
-        assert_eq!(opts.prune, defaults.prune);
-        assert_eq!(opts.bound, defaults.bound);
-        assert_eq!(opts.clock_bound, defaults.clock_bound);
         assert_eq!(opts.constraints, defaults.constraints);
         assert_eq!(opts.objective, defaults.objective);
         // The one deliberate difference: the session's caches ride along.

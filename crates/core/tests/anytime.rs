@@ -6,22 +6,18 @@
 //!
 //! * a run stopped at candidate boundary `k` (by budget, cancel, or
 //!   deadline — all three take the same stop-check path) is bit-identical
-//!   to the serial reference truncated at the same `k`, for every
-//!   result-preserving prune strategy × bound kind;
-//! * under `Dominated` pruning the truncated frontier is a subset of the
-//!   complete run's evaluations, and bit-identical to it once the budget
-//!   is not hit;
+//!   to the serial reference truncated at the same `k`;
 //! * `explore_resume(checkpoint)` continues a truncated run to the
-//!   bit-identical complete result, including through a JSON round trip;
+//!   bit-identical complete result, including through a JSON round trip,
+//!   and refuses checkpoints of another schema version or run;
 //! * a candidate whose synthesis panics is isolated (counted in
 //!   `stats.faulted`) without aborting the run or changing the surviving
 //!   Pareto set.
 
 use rsp_arch::{presets, BaseArchitecture};
 use rsp_core::{
-    explore_reference_with, explore_resume, explore_with, BoundKind, ClockBound, Completeness,
-    Constraints, DesignSpace, Exploration, ExploreControl, ExploreOptions, Objective,
-    PruneStrategy, TruncationReason,
+    explore_reference_with, explore_resume, explore_with, Completeness, Constraints, DesignSpace,
+    Exploration, ExploreControl, ExploreOptions, Objective, RspError, TruncationReason,
 };
 use rsp_kernel::Kernel;
 use rsp_mapper::{map, ConfigContext, MapOptions};
@@ -45,12 +41,9 @@ fn fixture() -> &'static (BaseArchitecture, Vec<Kernel>, Vec<ConfigContext>) {
     })
 }
 
-fn options(prune: PruneStrategy, bound: BoundKind, control: ExploreControl) -> ExploreOptions {
+fn options(control: ExploreControl) -> ExploreOptions {
     ExploreOptions {
         parallelism: Some(3),
-        prune,
-        bound,
-        clock_bound: ClockBound::StageFloor,
         constraints: Constraints::default(),
         objective: Objective::AreaDelayProduct,
         cache: None,
@@ -121,184 +114,54 @@ fn space_total() -> usize {
 /// Stopping at every candidate boundary `k` — via the machine-independent
 /// candidate budget, which shares the stop-check path with cancellation
 /// and deadlines — reproduces the serial reference truncated at the same
-/// `k`, bit for bit, for every result-preserving prune strategy × bound
-/// kind (the table the cancellation-determinism satellite asks for).
+/// `k`, bit for bit.
 #[test]
 fn truncation_at_every_boundary_matches_reference() {
     let total = space_total();
-    for prune in [PruneStrategy::None, PruneStrategy::LowerBound] {
-        for bound in [BoundKind::Aggregate, BoundKind::PerRowResidual] {
-            for k in 0..=total {
-                let control = ExploreControl::with_budget(k);
-                let engine = run_engine(&options(prune, bound, control.clone()));
-                let reference = run_reference(&control);
-                assert_bit_identical(&engine, &reference, &format!("{prune:?}/{bound:?} k={k}"));
-                let expected = if k < total {
-                    Completeness::Truncated {
-                        candidates_remaining: total - k,
-                        reason: TruncationReason::CandidateBudget,
-                    }
-                } else {
-                    Completeness::Complete
-                };
-                assert_eq!(engine.completeness, expected, "{prune:?}/{bound:?} k={k}");
-                assert_eq!(engine.stats.candidates_seen, k.min(total));
+    for k in 0..=total {
+        let control = ExploreControl::with_budget(k);
+        let engine = run_engine(&options(control.clone()));
+        let reference = run_reference(&control);
+        assert_bit_identical(&engine, &reference, &format!("k={k}"));
+        let expected = if k < total {
+            Completeness::Truncated {
+                candidates_remaining: total - k,
+                reason: TruncationReason::CandidateBudget,
             }
-        }
-    }
-}
-
-/// Under `Dominated` pruning (which may skip estimation of dominated
-/// candidates) the truncated frontier is a subset of the complete run's
-/// evaluations, and the frontier becomes bit-identical to the complete
-/// run's exactly when the budget is not hit.
-#[test]
-fn dominated_truncation_is_subset_of_complete_evaluations() {
-    let total = space_total();
-    let frontier = |r: &Exploration| -> Vec<(String, u64, u64)> {
-        r.pareto_points()
-            .map(|p| {
-                (
-                    p.arch.name().to_string(),
-                    p.area_slices.to_bits(),
-                    p.est_et_ns.to_bits(),
-                )
-            })
-            .collect()
-    };
-    for bound in [BoundKind::Aggregate, BoundKind::PerRowResidual] {
-        let complete = run_engine(&options(
-            PruneStrategy::Dominated,
-            bound,
-            ExploreControl::default(),
-        ));
-        let complete_points: Vec<(String, u64, u64)> = complete
-            .feasible
-            .iter()
-            .map(|p| {
-                (
-                    p.arch.name().to_string(),
-                    p.area_slices.to_bits(),
-                    p.est_et_ns.to_bits(),
-                )
-            })
-            .collect();
-        for k in 0..=total + 1 {
-            let truncated = run_engine(&options(
-                PruneStrategy::Dominated,
-                bound,
-                ExploreControl::with_budget(k),
-            ));
-            // Every truncated evaluation appears — bit-identically — in
-            // the complete run's evaluations (prefix property).
-            for p in &truncated.feasible {
-                let key = (
-                    p.arch.name().to_string(),
-                    p.area_slices.to_bits(),
-                    p.est_et_ns.to_bits(),
-                );
-                assert!(
-                    complete_points.contains(&key),
-                    "{bound:?} k={k}: {} not in complete evaluations",
-                    p.arch.name()
-                );
-            }
-            for f in frontier(&truncated) {
-                assert!(complete_points.contains(&f), "{bound:?} k={k}: frontier");
-            }
-            if k >= total {
-                assert!(truncated.completeness.is_complete(), "{bound:?} k={k}");
-                assert_bit_identical(&truncated, &complete, &format!("{bound:?} k={k}"));
-            } else {
-                assert!(!truncated.completeness.is_complete(), "{bound:?} k={k}");
-            }
-        }
+        } else {
+            Completeness::Complete
+        };
+        assert_eq!(engine.completeness, expected, "k={k}");
+        assert_eq!(engine.stats.candidates_seen, k.min(total));
     }
 }
 
 /// Resuming a checkpoint taken at any boundary `k` — with no further
-/// budget — reaches the bit-identical complete result. For `Dominated`
-/// (where a resumed frontier may prune more of `feasible`) the frontier
-/// and selection still match exactly.
+/// budget — reaches the bit-identical complete result.
 #[test]
 fn resume_reaches_bit_identical_complete_result() {
     let total = space_total();
     let (base, kernels, contexts) = fixture();
     let weights = vec![1.0; kernels.len()];
     let space = DesignSpace::extended();
-    for prune in [PruneStrategy::None, PruneStrategy::LowerBound] {
-        let complete = run_engine(&options(
-            prune,
-            BoundKind::PerRowResidual,
-            Default::default(),
-        ));
-        for k in 0..=total {
-            let truncated = run_engine(&options(
-                prune,
-                BoundKind::PerRowResidual,
-                ExploreControl::with_budget(k),
-            ));
-            let ckpt = truncated.checkpoint();
-            assert_eq!(ckpt.cursor(), k.min(total));
-            assert_eq!(ckpt.candidates_total(), total);
-            let resumed = explore_resume(
-                base,
-                kernels,
-                contexts,
-                &weights,
-                &space,
-                &options(prune, BoundKind::PerRowResidual, Default::default()),
-                &ckpt,
-            )
-            .unwrap();
-            assert_bit_identical(&resumed, &complete, &format!("{prune:?} k={k}"));
-        }
-    }
-    // Dominated: resumed run may prune feasible differently (its frontier
-    // snapshot at resume time is denser), but the streamed frontier and
-    // the selected optimum are invariant.
-    let complete = run_engine(&options(
-        PruneStrategy::Dominated,
-        BoundKind::PerRowResidual,
-        Default::default(),
-    ));
-    for k in [0, 1, 7, total / 2, total - 1] {
-        let truncated = run_engine(&options(
-            PruneStrategy::Dominated,
-            BoundKind::PerRowResidual,
-            ExploreControl::with_budget(k),
-        ));
+    let complete = run_engine(&options(Default::default()));
+    for k in 0..=total {
+        let truncated = run_engine(&options(ExploreControl::with_budget(k)));
+        let ckpt = truncated.checkpoint();
+        assert_eq!(ckpt.cursor(), k.min(total));
+        assert_eq!(ckpt.candidates_total(), total);
         let resumed = explore_resume(
             base,
             kernels,
             contexts,
             &weights,
             &space,
-            &options(
-                PruneStrategy::Dominated,
-                BoundKind::PerRowResidual,
-                Default::default(),
-            ),
-            &truncated.checkpoint(),
+            &options(Default::default()),
+            &ckpt,
         )
         .unwrap();
-        let frontier = |r: &Exploration| -> Vec<(String, u64, u64)> {
-            r.pareto_points()
-                .map(|p| {
-                    (
-                        p.arch.name().to_string(),
-                        p.area_slices.to_bits(),
-                        p.est_et_ns.to_bits(),
-                    )
-                })
-                .collect()
-        };
-        assert_eq!(frontier(&resumed), frontier(&complete), "dominated k={k}");
-        assert_eq!(
-            resumed.best_point().arch.name(),
-            complete.best_point().arch.name()
-        );
-        assert!(resumed.completeness.is_complete());
+        assert_bit_identical(&resumed, &complete, &format!("k={k}"));
+        assert_eq!(resumed.stats, complete.stats, "k={k}");
     }
 }
 
@@ -312,18 +175,10 @@ fn checkpoint_roundtrips_through_json() {
     let (base, kernels, contexts) = fixture();
     let weights = vec![1.0; kernels.len()];
     let space = DesignSpace::extended();
-    let opts = options(
-        PruneStrategy::LowerBound,
-        BoundKind::PerRowResidual,
-        Default::default(),
-    );
+    let opts = options(Default::default());
     let complete = run_engine(&opts);
 
-    let truncated = run_engine(&options(
-        PruneStrategy::LowerBound,
-        BoundKind::PerRowResidual,
-        ExploreControl::with_budget(total / 2),
-    ));
+    let truncated = run_engine(&options(ExploreControl::with_budget(total / 2)));
     let json = serde_json::to_string(&truncated.checkpoint()).unwrap();
     let ckpt: rsp_core::ExploreCheckpoint = serde_json::from_str(&json).unwrap();
     assert!(!ckpt.is_complete());
@@ -337,53 +192,72 @@ fn checkpoint_roundtrips_through_json() {
     assert_bit_identical(&resumed, &complete, "complete no-op resume");
 }
 
-/// A checkpoint refuses to resume under different options or a different
-/// design space (fingerprint mismatch).
+/// A checkpoint refuses to resume under a different objective,
+/// different constraints, or a different design space (fingerprint
+/// mismatch).
 #[test]
 fn checkpoint_mismatch_is_rejected() {
     let (base, kernels, contexts) = fixture();
     let weights = vec![1.0; kernels.len()];
-    let opts = options(
-        PruneStrategy::LowerBound,
-        BoundKind::PerRowResidual,
-        Default::default(),
-    );
-    let truncated = run_engine(&options(
-        PruneStrategy::LowerBound,
-        BoundKind::PerRowResidual,
-        ExploreControl::with_budget(5),
-    ));
-    let ckpt = truncated.checkpoint();
+    let opts = options(Default::default());
+    let ckpt = run_engine(&options(ExploreControl::with_budget(5))).checkpoint();
+    let resume = |space: &DesignSpace, opts: &ExploreOptions| {
+        explore_resume(base, kernels, contexts, &weights, space, opts, &ckpt).unwrap_err()
+    };
 
-    // Different prune strategy.
+    let other_objective = ExploreOptions {
+        objective: Objective::ExecutionTime,
+        ..options(Default::default())
+    };
+    let other_constraints = ExploreOptions {
+        constraints: Constraints {
+            enforce_cost_bound: true,
+            max_slowdown: 2.0,
+        },
+        ..options(Default::default())
+    };
+    for (what, err) in [
+        (
+            "objective",
+            resume(&DesignSpace::extended(), &other_objective),
+        ),
+        (
+            "constraints",
+            resume(&DesignSpace::extended(), &other_constraints),
+        ),
+        // The candidate total differs.
+        ("space", resume(&DesignSpace::paper(), &opts)),
+    ] {
+        assert!(
+            matches!(err, RspError::CheckpointMismatch { .. }),
+            "{what}: {err:?}"
+        );
+    }
+}
+
+/// A checkpoint written before the schema dropped the pruning-strategy
+/// knobs (version 1, verbatim) is refused with a mismatch that names its
+/// version, even though its fields otherwise still parse.
+#[test]
+fn version_1_checkpoint_is_refused() {
+    const V1: &str = r#"{"version":1,"fingerprint":{"prune":"LowerBound","bound":"PerRowResidual","clock_bound":"StageFloor","objective":"AreaDelayProduct","constraints":{"enforce_cost_bound":true,"max_slowdown":1.5},"candidates_total":48},"cursor":2,"base_et_ns":4680.0,"candidates_pruned":0,"clock_bound_cuts":0,"faulted":0,"tightness_sum":2.0,"tightness_count":2,"points":[{"name":"RS(shr=1,shc=0,st=1)","plan":{"groups":[{"kind":"Multiplier","per_row":1,"per_col":0,"stages":1}],"local_pipeline":{}},"area_slices":32442.88,"clock_ns":26.849999999999998,"est_cycles":[14,8,12,19,25,43,24,11,24],"est_et_ns":4832.999999999999,"cost_bound_ok":true},{"name":"RS(shr=1,shc=1,st=1)","plan":{"groups":[{"kind":"Multiplier","per_row":1,"per_col":1,"stages":1}],"local_pipeline":{}},"area_slices":36917.76,"clock_ns":27.8,"est_cycles":[14,8,12,19,25,43,24,11,24],"est_et_ns":5004.0,"cost_bound_ok":true}]}"#;
+    let (base, kernels, contexts) = fixture();
+    let weights = vec![1.0; kernels.len()];
+    let ckpt: rsp_core::ExploreCheckpoint = serde_json::from_str(V1).unwrap();
     let err = explore_resume(
         base,
         kernels,
         contexts,
         &weights,
         &DesignSpace::extended(),
-        &options(
-            PruneStrategy::None,
-            BoundKind::PerRowResidual,
-            Default::default(),
-        ),
+        &options(Default::default()),
         &ckpt,
     )
     .unwrap_err();
-    assert!(matches!(err, rsp_core::RspError::CheckpointMismatch { .. }));
-
-    // Different space (candidate total differs).
-    let err = explore_resume(
-        base,
-        kernels,
-        contexts,
-        &weights,
-        &DesignSpace::paper(),
-        &opts,
-        &ckpt,
-    )
-    .unwrap_err();
-    assert!(matches!(err, rsp_core::RspError::CheckpointMismatch { .. }));
+    let RspError::CheckpointMismatch { what } = err else {
+        panic!("expected a checkpoint mismatch, got {err:?}");
+    };
+    assert!(what.contains("version 1"), "{what}");
 }
 
 /// A pre-raised cancel flag stops the sweep at candidate 0 with an empty
@@ -395,11 +269,7 @@ fn cancel_and_deadline_semantics() {
 
     let control = ExploreControl::default();
     control.request_cancel();
-    let cancelled = run_engine(&options(
-        PruneStrategy::LowerBound,
-        BoundKind::PerRowResidual,
-        control,
-    ));
+    let cancelled = run_engine(&options(control));
     assert_eq!(
         cancelled.completeness,
         Completeness::Truncated {
@@ -409,13 +279,9 @@ fn cancel_and_deadline_semantics() {
     );
     assert!(cancelled.feasible.is_empty());
     assert!(cancelled.try_best_point().is_none());
-    assert_eq!(cancelled.best, usize::MAX);
+    assert_eq!(cancelled.best, None);
 
-    let timed_out = run_engine(&options(
-        PruneStrategy::LowerBound,
-        BoundKind::PerRowResidual,
-        ExploreControl::with_deadline(Duration::ZERO),
-    ));
+    let timed_out = run_engine(&options(ExploreControl::with_deadline(Duration::ZERO)));
     assert_eq!(
         timed_out.completeness,
         Completeness::Truncated {
@@ -430,11 +296,7 @@ fn cancel_and_deadline_semantics() {
         candidate_budget: Some(0),
         cancel: Arc::new(AtomicBool::new(true)),
     };
-    let budgeted = run_engine(&options(
-        PruneStrategy::LowerBound,
-        BoundKind::PerRowResidual,
-        control,
-    ));
+    let budgeted = run_engine(&options(control));
     assert_eq!(
         budgeted.completeness,
         Completeness::Truncated {
@@ -456,11 +318,7 @@ fn async_cancel_truncates_at_a_sound_boundary() {
         std::thread::sleep(Duration::from_micros(200));
         handle.store(true, Ordering::Relaxed);
     });
-    let engine = run_engine(&options(
-        PruneStrategy::LowerBound,
-        BoundKind::PerRowResidual,
-        control,
-    ));
+    let engine = run_engine(&options(control));
     flipper.join().unwrap();
     let k = engine.stats.candidates_seen;
     let reference = run_reference(&ExploreControl::with_budget(k));
@@ -507,11 +365,7 @@ fn mute_injected_panics() {
 #[test]
 fn injected_panic_is_isolated_and_counted() {
     mute_injected_panics();
-    let clean = run_engine(&options(
-        PruneStrategy::None,
-        BoundKind::PerRowResidual,
-        Default::default(),
-    ));
+    let clean = run_engine(&options(Default::default()));
     // Pick a feasible candidate that is NOT on the Pareto frontier, so
     // dropping it must leave the frontier and selection unchanged.
     let target = clean
@@ -528,11 +382,7 @@ fn injected_panic_is_isolated_and_counted() {
             panic!("{FAULT_MARKER}: {}", arch.name());
         }
     });
-    let mut opts = options(
-        PruneStrategy::None,
-        BoundKind::PerRowResidual,
-        Default::default(),
-    );
+    let mut opts = options(Default::default());
     opts.cache = Some(Arc::new(ModelCache::with_models(AreaModel::new(), faulty)));
     let faulted = run_engine(&opts);
 

@@ -1,31 +1,13 @@
-//! Property tests for the pruned, parallel Fig. 7 flow:
-//!
-//! * **Parallel ≡ serial oracle** — `run_flow` with the rayon geometry
-//!   fan-out and parallel exact stage produces bit-identical *results*
-//!   (base, contexts, chosen design, RSP contexts, Tables 4/5
-//!   performance) to the `Some(1)` serial oracle path for any thread
-//!   count. Work counters (`FlowStats`) may legitimately differ — the
-//!   serial geometry oracle early-exits.
-//! * **Pruned ≡ unpruned** — the exact-stage dominance cut plus the
-//!   exploration-side dominated/clock-floor pruning leave every flow
-//!   output bit-identical to the unpruned flow; only the work counters
-//!   move.
+//! Property tests for the parallel Fig. 7 flow: `run_flow` with the
+//! rayon geometry fan-out and parallel exact stage produces bit-identical
+//! *results* (base, contexts, chosen design, RSP contexts, Tables 4/5
+//! performance) to the `Some(1)` serial oracle path for any thread
+//! count. Work counters (`FlowStats`) may legitimately differ — the
+//! serial geometry oracle early-exits.
 
 use proptest::prelude::*;
-use rsp_core::{
-    run_flow, AppProfile, BoundKind, ClockBound, DesignSpace, FlowConfig, FlowReport, Objective,
-    PruneStrategy,
-};
+use rsp_core::{run_flow, AppProfile, DesignSpace, FlowConfig, FlowReport, Objective};
 use rsp_kernel::suite;
-
-/// The full kernel suite as one domain (coverage 1.0 keeps every
-/// kernel — the acceptance workload for pruned-vs-unpruned identity).
-fn suite_apps() -> Vec<AppProfile> {
-    vec![AppProfile::new(
-        "full-suite",
-        suite::all().into_iter().map(|k| (k, 1)).collect(),
-    )]
-}
 
 fn mixed_apps() -> Vec<AppProfile> {
     vec![
@@ -114,74 +96,12 @@ proptest! {
         let serial = run_flow(&apps, &cfg(Some(1))).unwrap();
         let parallel = run_flow(&apps, &cfg(Some(threads))).unwrap();
         assert_reports_identical(&serial, &parallel);
+        // The exact stage rearranges every frontier candidate.
+        for report in [&serial, &parallel] {
+            assert_eq!(
+                report.stats.rearranged_candidates + report.stats.rearrangements_failed,
+                report.stats.frontier_candidates
+            );
+        }
     }
-
-    /// Dominated pruning + the stage-floor clock bound leave every flow
-    /// output bit-identical to the unpruned flow over the full kernel
-    /// suite — contexts, chosen design, and the Tables 4/5 numbers.
-    #[test]
-    fn pruned_flow_output_is_bit_identical_to_unpruned(
-        space in arb_space(),
-        objective in arb_objective(),
-    ) {
-        let cfg = |prune, clock_bound| FlowConfig {
-            coverage: 1.0,
-            space: space.clone(),
-            objective,
-            prune,
-            clock_bound,
-            ..FlowConfig::default()
-        };
-        let apps = suite_apps();
-        let unpruned = run_flow(&apps, &cfg(PruneStrategy::None, ClockBound::Off)).unwrap();
-        let pruned = run_flow(
-            &apps,
-            &cfg(PruneStrategy::Dominated, ClockBound::StageFloor),
-        )
-        .unwrap();
-        assert_reports_identical(&unpruned, &pruned);
-        // The unpruned flow rearranges every frontier candidate; the
-        // pruned flow rearranges the survivors and skips the rest.
-        assert_eq!(
-            unpruned.stats.rearranged_candidates + unpruned.stats.rearrangements_failed,
-            unpruned.stats.frontier_candidates
-        );
-        assert_eq!(unpruned.stats.rearrangements_skipped, 0);
-        assert_eq!(
-            pruned.stats.rearranged_candidates
-                + pruned.stats.rearrangements_skipped
-                + pruned.stats.rearrangements_failed,
-            pruned.stats.frontier_candidates
-        );
-    }
-}
-
-/// The per-row residual bound in the flow defaults plus the
-/// objective-score cut must actually skip exact rearrangements somewhere
-/// — otherwise the cut is dead code. The mixed deep100 space has the
-/// densest estimation frontier (its tail candidates buy little
-/// execution time for a lot of area), so it is the place the cut must
-/// bite.
-#[test]
-fn score_cut_bites_on_deep100_space() {
-    let report = run_flow(
-        &suite_apps(),
-        &FlowConfig {
-            coverage: 1.0,
-            space: DesignSpace::deep100(),
-            prune: PruneStrategy::Dominated,
-            bound: BoundKind::PerRowResidual,
-            clock_bound: ClockBound::StageFloor,
-            ..FlowConfig::default()
-        },
-    )
-    .unwrap();
-    assert!(
-        report.stats.rearrangements_skipped > 0,
-        "exact-stage objective-score cut never fired on the deep100 space \
-         ({} frontier candidates, {} rearranged)",
-        report.stats.frontier_candidates,
-        report.stats.rearranged_candidates
-    );
-    assert!(report.stats.candidates_pruned > 0);
 }

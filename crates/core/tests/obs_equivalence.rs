@@ -8,8 +8,8 @@
 use proptest::prelude::*;
 use rsp_arch::{presets, BaseArchitecture};
 use rsp_core::{
-    explore_with, run_flow, AppProfile, BoundKind, ClockBound, Constraints, DesignSpace,
-    Exploration, ExploreOptions, FlowConfig, Objective, PruneStrategy,
+    explore_with, run_flow, AppProfile, Constraints, DesignSpace, Exploration, ExploreOptions,
+    FlowConfig, Objective,
 };
 use rsp_kernel::Kernel;
 use rsp_mapper::{map, ConfigContext, MapOptions};
@@ -76,12 +76,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Exploration under every recorder reproduces the NullRecorder
-    /// run bit for bit, across thread counts, prune strategies, and
-    /// both paper and extended spaces.
+    /// run bit for bit, across thread counts and both paper and extended
+    /// spaces.
     #[test]
     fn exploration_is_bit_identical_under_any_recorder(
         threads in 1usize..=4,
-        lb_prune in any::<bool>(),
         extended in any::<bool>(),
     ) {
         let (base, kernels, contexts) = fixture();
@@ -89,9 +88,6 @@ proptest! {
         let space = if extended { DesignSpace::extended() } else { DesignSpace::paper() };
         let options = |recorder: Arc<dyn Recorder>| ExploreOptions {
             parallelism: Some(threads),
-            prune: if lb_prune { PruneStrategy::LowerBound } else { PruneStrategy::None },
-            bound: BoundKind::PerRowResidual,
-            clock_bound: ClockBound::StageFloor,
             constraints: Constraints::default(),
             objective: Objective::AreaDelayProduct,
             cache: None,

@@ -1,15 +1,14 @@
 //! Property tests: the parallel exploration engine is *bit-identical* to
 //! the serial reference implementation — same feasible set (order, cycle
 //! estimates, and exact f64 bit patterns), same Pareto frontier, same
-//! selected optimum — for any thread count and for every
-//! result-preserving prune strategy, over both the paper's space and the
-//! extended ablation space.
+//! selected optimum — for any thread count, over both the paper's space
+//! and the extended ablation space.
 
 use proptest::prelude::*;
 use rsp_arch::{presets, BaseArchitecture};
 use rsp_core::{
-    explore_reference, explore_with, BoundKind, ClockBound, Constraints, DesignSpace, Exploration,
-    ExploreOptions, Objective, PruneStrategy,
+    explore_reference, explore_with, Constraints, DesignSpace, Exploration, ExploreOptions,
+    Objective,
 };
 use rsp_kernel::Kernel;
 use rsp_mapper::{map, ConfigContext, MapOptions};
@@ -77,26 +76,14 @@ fn arb_space() -> impl Strategy<Value = DesignSpace> {
     prop_oneof![Just(DesignSpace::paper()), Just(DesignSpace::extended())]
 }
 
-fn arb_bound() -> impl Strategy<Value = BoundKind> {
-    prop_oneof![Just(BoundKind::Aggregate), Just(BoundKind::PerRowResidual)]
-}
-
-fn arb_clock_bound() -> impl Strategy<Value = ClockBound> {
-    prop_oneof![Just(ClockBound::Off), Just(ClockBound::StageFloor)]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any thread count × result-preserving prune strategy × bound kind
-    /// × objective × slowdown bound reproduces the reference exploration
-    /// bit for bit.
+    /// Any thread count × objective × slowdown bound reproduces the
+    /// reference exploration bit for bit.
     #[test]
     fn engine_is_bit_identical_to_reference(
         threads in 1usize..=8,
-        lb_prune in any::<bool>(),
-        bound in arb_bound(),
-        clock_bound in arb_clock_bound(),
         objective in arb_objective(),
         space in arb_space(),
         slowdown_pct in 101u32..=300,
@@ -115,9 +102,6 @@ proptest! {
             base, kernels, contexts, &weights, &space,
             &ExploreOptions {
                 parallelism: Some(threads),
-                prune: if lb_prune { PruneStrategy::LowerBound } else { PruneStrategy::None },
-                bound,
-                clock_bound,
                 constraints,
                 objective,
                 cache: None,
@@ -132,51 +116,5 @@ proptest! {
             (r, e) => prop_assert!(false, "divergent outcomes: ref {:?} vs engine {:?}",
                 r.map(|x| x.feasible.len()), e.map(|x| x.feasible.len())),
         }
-    }
-
-    /// Dominated pruning (with either bound kind, and with the
-    /// area-ordered enumeration it enables) may shrink `feasible` but
-    /// must preserve the streamed frontier — bit for bit, as a point
-    /// sequence — and the selected optimum.
-    #[test]
-    fn dominated_pruning_preserves_frontier(
-        threads in 1usize..=8,
-        bound in arb_bound(),
-        clock_bound in arb_clock_bound(),
-        objective in arb_objective(),
-        space in arb_space(),
-    ) {
-        let (base, kernels, contexts) = fixture();
-        let weights = vec![1.0; kernels.len()];
-        let reference = explore_reference(
-            base, kernels, contexts, &weights, &space, &Constraints::default(), objective,
-        ).unwrap();
-        let engine = explore_with(
-            base, kernels, contexts, &weights, &space,
-            &ExploreOptions {
-                parallelism: Some(threads),
-                prune: PruneStrategy::Dominated,
-                bound,
-                clock_bound,
-                constraints: Constraints::default(),
-                objective,
-                cache: None,
-                profiles: None,
-                control: Default::default(),
-                recorder: rsp_core::obs::global(),
-            },
-        ).unwrap();
-        let frontier = |r: &Exploration| -> Vec<(String, u64, u64)> {
-            r.pareto_points()
-                .map(|p| (p.arch.name().to_string(), p.area_slices.to_bits(), p.est_et_ns.to_bits()))
-                .collect()
-        };
-        prop_assert_eq!(frontier(&reference), frontier(&engine));
-        prop_assert_eq!(
-            reference.best_point().arch.name(),
-            engine.best_point().arch.name()
-        );
-        prop_assert_eq!(engine.stats.candidates_pruned, engine.pruned);
-        prop_assert_eq!(engine.stats.candidates_seen, reference.stats.candidates_seen);
     }
 }

@@ -111,9 +111,9 @@ impl ModelCache {
         reports
     }
 
-    /// Area report only — the fast path for passes that need every
+    /// Area report only — the fast path for passes that need a
     /// candidate's area before (or without) its delay, such as the
-    /// exploration engine's area-ordered candidate enumeration. Memoized
+    /// exploration engine's eq. (2) cost check. Memoized
     /// separately from [`ModelCache::reports`]; a later full query reuses
     /// the area instead of re-synthesizing it.
     pub fn area_report(&self, arch: &RspArchitecture) -> AreaReport {

@@ -2,9 +2,8 @@
 //! workload suite: the slack-aware stall estimate never exceeds the
 //! exact rearranged elapsed cycle count, on any committed or seeded
 //! random workload, on every Table 4/5 architecture. This is the
-//! property the exploration pruning cuts and the flow's exact-stage
-//! objective-score cut rest on — an inadmissible estimate would let the
-//! pruned flow discard the true optimum.
+//! property the exploration engine's cuts rest on — an inadmissible
+//! estimate would let the engine cut the true optimum.
 
 use proptest::prelude::*;
 use rsp_arch::{presets, RspArchitecture};
