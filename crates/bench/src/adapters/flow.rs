@@ -1,7 +1,7 @@
 //! End-to-end flow adapter — the `rsp/flow` benchmark
 //! (`BENCH_flow.json`).
 //!
-//! Times the complete Fig. 7 flow ([`rsp_core::run_flow`]: profiling →
+//! Runs the complete Fig. 7 flow ([`rsp_core::run_flow`]: profiling →
 //! base-architecture exploration over three candidate geometries →
 //! pipeline mapping → RSP exploration → exact RSP mapping) over the full
 //! kernel suite. Tracked labels:
@@ -11,30 +11,31 @@
 //!   generated `matmul11` (`rsp_workload::generators`), which overflows
 //!   the 4×4 configuration cache: the serial geometry oracle no longer
 //!   early-exits at 4×4 — both paths walk to the 6×6 (the
-//!   `selected_pe_count: 36` anchor) — so the report measures real
+//!   `selected_pe_count: 36` anchor) — so the report covers real
 //!   multi-geometry work plus exact-stage refinement where exploration
 //!   itself is cheap.
 //! * `flow-deep` — the 480-candidate deep space pinned to the paper's
 //!   8×8 base, with a wide estimation frontier for the exact stage
 //!   (`candidates_pruned` / `clock_bound_cuts` per row).
 //!
-//! Flow configurations measured per space:
+//! Flow configurations run per space:
 //!
 //! * `serial-reference` — `parallelism: Some(1)`: the serial geometry
 //!   oracle, one-thread exploration, and serial exact rearrangement of
-//!   every frontier candidate. The normalization yardstick.
-//! * `flow-parallel` — all cores (isolates the fan-out win).
+//!   every frontier candidate.
+//! * `flow-parallel` — all cores.
 //!
 //! Both rows produce bit-identical flow outputs (property-tested in
-//! `rsp-core`); only the work they perform differs. This module also
-//! owns `measure_configs`, the measurement scaffold the workload adapter
+//! `rsp-core`) and record the same events — every `flow/rearrange` and
+//! `rearrange/schedule` span of the exact stage among them. This module
+//! also owns `measure_configs`, the scaffold the workload adapter
 //! ([`crate::adapters::workload`]) reuses — only the workload and the
 //! [`FlowConfig`] constructor differ between the two artifacts.
 
-use crate::gate::{time_median, BenchReport, EngineRow};
-use rsp_core::{run_flow, AppProfile, DesignSpace, FlowConfig, FlowReport, Objective};
+use super::{Measured, Rows};
+use crate::gate::EngineRow;
+use rsp_core::{run_flow, AppProfile, DesignSpace, FlowConfig, Objective};
 use rsp_kernel::suite;
-use std::hint::black_box;
 
 /// The benchmark workload: the full kernel suite plus the generated
 /// `matmul11` (which a 4×4 array cannot hold) as one domain, coverage
@@ -72,30 +73,7 @@ fn config(label: &str, parallelism: Option<usize>) -> FlowConfig {
     }
 }
 
-fn row_from(
-    name: &str,
-    median: u64,
-    min: u64,
-    samples: u32,
-    reference_median: u64,
-    report: &FlowReport,
-) -> EngineRow {
-    EngineRow {
-        name: name.into(),
-        median_ns: median,
-        min_ns: min,
-        samples,
-        speedup_vs_reference: reference_median as f64 / median as f64,
-        feasible: report.exploration.feasible.len(),
-        candidates_seen: report.exploration.stats.candidates_seen,
-        candidates_pruned: report.stats.candidates_pruned,
-        clock_bound_cuts: report.stats.clock_bound_cuts,
-        refill_segments: report.stats.refill_segments,
-        refill_stall_cycles: report.stats.refill_stall_cycles,
-    }
-}
-
-/// Measures the two tracked flow configurations (`serial-reference`,
+/// Runs the two tracked flow configurations (`serial-reference`,
 /// `flow-parallel`) over `apps` and assembles the report — the scaffold
 /// shared with the workload adapter; only the workload and the
 /// [`FlowConfig`] constructor differ between the artifacts.
@@ -103,55 +81,32 @@ pub(crate) fn measure_configs(
     label: &str,
     apps: &[AppProfile],
     candidates: usize,
-    samples: u32,
     config: &dyn Fn(Option<usize>) -> FlowConfig,
-) -> BenchReport {
-    let mut rows: Vec<EngineRow> = Vec::new();
-    let mut reference_median = 0u64;
+) -> Measured {
+    let mut rows = Rows::default();
     let mut selected_pe_count = 0;
     for (name, parallelism) in [("serial-reference", Some(1)), ("flow-parallel", None)] {
-        let cfg = config(parallelism);
-        let mut last = None;
-        let (median, min) = time_median(samples, || {
-            last = Some(run_flow(black_box(apps), &cfg).expect("flow runs"));
-        });
-        let last = last.unwrap();
-        if name == "serial-reference" {
-            reference_median = median;
-            selected_pe_count = last.base.geometry().pe_count();
-        }
-        rows.push(row_from(
-            name,
-            median,
-            min,
-            samples,
-            reference_median,
-            &last,
-        ));
+        // The config is built inside the recorded run so its recorder is
+        // the row's.
+        let report = rows.record(
+            || run_flow(apps, &config(parallelism)).expect("flow runs"),
+            |r, events| EngineRow::from_flow(name, r, events),
+        );
+        selected_pe_count = report.base.geometry().pe_count();
     }
-
-    BenchReport {
-        space: label.into(),
-        candidates,
-        kernels: apps.iter().map(|a| a.kernels.len()).sum(),
-        threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        samples,
-        selected_pe_count,
-        engines: rows,
-    }
+    let kernels = apps.iter().map(|a| a.kernels.len()).sum();
+    rows.measured(label, candidates, kernels, selected_pe_count)
 }
 
-/// Measures one tracked label (`flow-paper` / `flow-deep`) with
-/// `samples` measured repetitions per configuration; `None` for an
-/// unknown label.
-pub fn measure(label: &str, samples: u32) -> Option<BenchReport> {
+/// Measures one tracked label (`flow-paper` / `flow-deep`); `None` for
+/// an unknown label.
+pub fn measure(label: &str) -> Option<Measured> {
     let (space, _) = space_for(label)?;
     let apps = workload();
     Some(measure_configs(
         label,
         &apps,
         space.plans().count(),
-        samples,
         &|parallelism| config(label, parallelism),
     ))
 }
@@ -162,7 +117,7 @@ mod tests {
 
     #[test]
     fn flow_benchmark_runs_and_reports_cut_counters() {
-        let report = measure("flow-paper", 1).unwrap();
+        let report = measure("flow-paper").unwrap().report;
         let names: Vec<&str> = report.engines.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, ["serial-reference", "flow-parallel"]);
         // The generated matmul11 overflows the 4×4, so the multi-geometry
@@ -176,6 +131,6 @@ mod tests {
         let json = serde_json::to_string_pretty(&report).unwrap();
         assert!(json.contains("refill_segments"));
         // Unknown labels are refused.
-        assert!(measure("flow-imaginary", 1).is_none());
+        assert!(measure("flow-imaginary").is_none());
     }
 }

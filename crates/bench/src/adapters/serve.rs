@@ -1,49 +1,44 @@
 //! Serving adapter — the `rsp/serve` benchmark (`BENCH_serve.json`).
 //!
-//! Measures sustained flow requests through the `rsp-serve` wire path
-//! (real sockets, JSON line protocol, worker pool) against the direct
-//! in-process engine, and the cache-warm vs cache-cold contrast the
-//! long-running [`rsp_core::Session`] exists for. One label,
-//! `serve-flows`: every row runs the same four Fig. 7 flow requests
-//! (the paper's video workload over the 12-candidate paper space on the
-//! 8×8 base) per sample; flows/second is `4 / (median_ns / 1e9)`.
+//! Runs flow requests through the `rsp-serve` wire path (real sockets,
+//! JSON line protocol, worker pool) next to the direct in-process
+//! engine, cache-cold and cache-warm — the contrast the long-running
+//! [`rsp_core::Session`] exists for. One label, `serve-flows`: every row
+//! runs the same four Fig. 7 flow requests (the paper's video workload
+//! over the 12-candidate paper space on the 8×8 base).
 //!
 //! * `serial-reference` — four cold [`rsp_core::run_flow`] calls, no
-//!   server, no caches: the normalization yardstick.
-//! * `serve-cold-1-client` — a **fresh server per sample** (empty
-//!   session caches), one client, four sequential flow requests: wire +
-//!   dispatch + cold-cache cost.
-//! * `serve-warm-1-client` — one long-lived server, one client, four
-//!   sequential requests against warm caches: the steady-state serving
-//!   cost (the warm-vs-cold anchor's fast side).
-//! * `serve-warm-4-clients` — same warm server, four **concurrent**
-//!   clients each issuing one flow request per sample: sustained
-//!   throughput at the worker-pool width.
+//!   server, no caches.
+//! * `serve-cold-1-client` — a fresh server (empty session caches), one
+//!   client, four sequential flow requests.
+//! * `serve-warm-1-client` — a server over the shared, pre-warmed
+//!   session, one client, four sequential requests.
+//! * `serve-warm-4-clients` — a server over the same warm session, four
+//!   **concurrent** clients each issuing one flow request.
 //!
-//! Row names deliberately avoid the `1-thread` marker: served timings
-//! depend on the host's core count, so the cross-host gate holds them
-//! to anchors only (see `crates/bench/METHODOLOGY.md`).
+//! Every row spawns its server and shuts it down inside its recorded
+//! run, so the server's last events (the reply write follows the reply
+//! the client already holds) land before the row's recording closes.
 //!
-//! Honesty checks run inline while measuring: every served reply must
-//! be **byte-identical** to the serialized in-process reference reply
-//! (the wire format's float rendering is shortest-round-trip, so byte
+//! Honesty checks run inline: every served reply must be
+//! **byte-identical** to the serialized in-process reference reply (the
+//! wire format's float rendering is shortest-round-trip, so byte
 //! equality is bit identity), and the warm rows must not add a single
-//! synthesis-cache miss (asserted through the wire via
-//! [`rsp_serve::proto::Request::Stats`]).
+//! synthesis-cache miss.
 
-use crate::gate::{time_median, BenchReport, EngineRow};
-use rsp_core::{run_flow, AppProfile, DesignSpace, FlowConfig, FlowReport};
+use super::{Measured, Rows};
+use crate::gate::{EngineRow, Events};
+use rsp_core::{run_flow, AppProfile, DesignSpace, FlowConfig, FlowReport, Session};
 use rsp_kernel::suite;
+use rsp_obs::{Event, Recorder};
 use rsp_serve::proto::{FlowReply, FlowRequest, Request, Response, SpaceSpec, WorkloadApp};
 use rsp_serve::{Client, ServeConfig, Server};
-use std::hint::black_box;
-use std::net::SocketAddr;
+use std::sync::Arc;
 
-/// Flow requests per measured sample — the unit behind the artifact's
-/// flows/second reading.
-const FLOWS_PER_SAMPLE: usize = 4;
+/// Flow requests per row.
+const FLOWS_PER_ROW: usize = 4;
 
-/// Worker threads (= concurrent connections) the measured servers run.
+/// Worker threads (= concurrent connections) the servers run.
 const WORKERS: usize = 4;
 
 /// The benchmark workload: the paper's video app (FDCT per macroblock,
@@ -104,138 +99,101 @@ fn call_and_check(client: &mut Client, expected: &str) {
     );
 }
 
-fn stats_via(addr: SocketAddr) -> rsp_serve::proto::StatsReply {
-    let mut client = Client::connect(addr).expect("connect for stats");
-    match client.call(Request::Stats).expect("stats request") {
-        Response::Stats(s) => s,
-        other => panic!("expected Stats, got {other:?}"),
+/// Spawns a server over `session` whose own events go to the current
+/// global recorder (the row's, when called inside a recorded run).
+fn spawn(session: Arc<Session>) -> Server {
+    let config = ServeConfig {
+        workers: WORKERS,
+        ..ServeConfig::default()
+    };
+    Server::with_session(config, session).expect("spawn server")
+}
+
+/// One client sends `flows` sequential requests to a fresh server over
+/// `session`; the server is shut down (its threads joined) on return.
+fn serve_sequentially(session: Arc<Session>, flows: usize, expected: &str) {
+    let server = spawn(session);
+    let mut client = Client::connect(server.addr()).expect("connect");
+    for _ in 0..flows {
+        call_and_check(&mut client, expected);
+    }
+    // Closing first lets the worker see end-of-stream instead of
+    // waiting out its read poll.
+    drop(client);
+    server.shutdown();
+}
+
+/// Forwards each event to whichever recorder is process-global when it
+/// is emitted. The warm session is built once but serves two rows; this
+/// lets its flows report to each row's recorder in turn.
+#[derive(Debug)]
+struct CurrentGlobal;
+
+impl Recorder for CurrentGlobal {
+    fn enabled(&self) -> bool {
+        rsp_obs::global().enabled()
+    }
+
+    fn record(&self, event: &Event<'_>) {
+        rsp_obs::global().record(event);
     }
 }
 
-fn row_from(
-    name: &str,
-    median: u64,
-    min: u64,
-    samples: u32,
-    reference_median: u64,
-    report: &FlowReport,
-) -> EngineRow {
-    // Every row's replies are asserted byte-identical to `report`'s, so
-    // the correctness anchors are shared by construction.
-    EngineRow {
-        name: name.into(),
-        median_ns: median,
-        min_ns: min,
-        samples,
-        speedup_vs_reference: reference_median as f64 / median as f64,
-        feasible: report.exploration.feasible.len(),
-        candidates_seen: report.exploration.stats.candidates_seen,
-        candidates_pruned: report.stats.candidates_pruned,
-        clock_bound_cuts: report.stats.clock_bound_cuts,
-        refill_segments: report.stats.refill_segments,
-        refill_stall_cycles: report.stats.refill_stall_cycles,
-    }
-}
-
-/// Measures the `serve-flows` label with `samples` measured repetitions
-/// per row; `None` for an unknown label.
-pub fn measure(label: &str, samples: u32) -> Option<BenchReport> {
+/// Measures the `serve-flows` label; `None` for an unknown label.
+pub fn measure(label: &str) -> Option<Measured> {
     if label != "serve-flows" {
         return None;
     }
     let apps = apps();
-    let config = FlowConfig::default(); // paper space, 8×8, no caches
-    let reference = run_flow(&apps, &config).expect("reference flow runs");
+    let reference = run_flow(&apps, &FlowConfig::default()).expect("reference flow runs");
     let expected = expected_reply(&reference);
-    let mut rows: Vec<EngineRow> = Vec::new();
+    let row = |name: &'static str| {
+        // Every row's replies are asserted byte-identical to
+        // `reference`, so the result anchors are shared by construction.
+        let reference = &reference;
+        move |_: &(), events: Events| EngineRow::from_flow(name, reference, events)
+    };
+    let mut rows = Rows::default();
 
     // serial-reference: four cold in-process flows, fresh config each
     // time so nothing is memoized across them.
-    let reference_median = {
-        let (median, min) = time_median(samples, || {
-            for _ in 0..FLOWS_PER_SAMPLE {
-                let cold = FlowConfig::default();
-                black_box(run_flow(black_box(&apps), &cold).expect("flow runs"));
+    rows.record(
+        || {
+            for _ in 0..FLOWS_PER_ROW {
+                run_flow(&apps, &FlowConfig::default()).expect("flow runs");
             }
-        });
-        rows.push(row_from(
-            "serial-reference",
-            median,
-            min,
-            samples,
-            median,
-            &reference,
-        ));
-        median
-    };
+        },
+        row("serial-reference"),
+    );
 
-    // serve-cold-1-client: a fresh server (empty caches) per sample.
-    // Shutdown joins worker threads at a 50 ms poll boundary, so the
-    // spent servers are parked and dropped after timing instead.
-    {
-        let mut spent: Vec<Server> = Vec::new();
-        let (median, min) = time_median(samples, || {
-            let server = Server::spawn(ServeConfig {
-                workers: WORKERS,
-                ..ServeConfig::default()
-            })
-            .expect("spawn cold server");
-            let mut client = Client::connect(server.addr()).expect("connect");
-            for _ in 0..FLOWS_PER_SAMPLE {
-                call_and_check(&mut client, &expected);
-            }
-            spent.push(server);
-        });
-        drop(spent);
-        rows.push(row_from(
-            "serve-cold-1-client",
-            median,
-            min,
-            samples,
-            reference_median,
-            &reference,
-        ));
-    }
+    // serve-cold-1-client: a fresh session with empty caches.
+    rows.record(
+        || {
+            let cold = Arc::new(Session::builder().build());
+            serve_sequentially(cold, FLOWS_PER_ROW, &expected);
+        },
+        row("serve-cold-1-client"),
+    );
 
-    // One long-lived server for both warm rows, primed before timing so
-    // even the warmup invocation is warm.
-    let server = Server::spawn(ServeConfig {
-        workers: WORKERS,
-        ..ServeConfig::default()
-    })
-    .expect("spawn warm server");
-    let addr = server.addr();
-    {
-        let mut client = Client::connect(addr).expect("connect");
-        call_and_check(&mut client, &expected);
-    }
-    let primed = stats_via(addr);
+    // One session for both warm rows, primed before either runs.
+    let session = Arc::new(Session::builder().recorder(Arc::new(CurrentGlobal)).build());
+    serve_sequentially(Arc::clone(&session), 1, &expected);
+    let primed = session.stats();
     assert!(primed.model_reports > 0, "priming populated the caches");
 
     // serve-warm-1-client: sequential requests against warm caches.
-    {
-        let mut client = Client::connect(addr).expect("connect");
-        let (median, min) = time_median(samples, || {
-            for _ in 0..FLOWS_PER_SAMPLE {
-                call_and_check(&mut client, &expected);
-            }
-        });
-        rows.push(row_from(
-            "serve-warm-1-client",
-            median,
-            min,
-            samples,
-            reference_median,
-            &reference,
-        ));
-    }
+    rows.record(
+        || serve_sequentially(Arc::clone(&session), FLOWS_PER_ROW, &expected),
+        row("serve-warm-1-client"),
+    );
 
-    // serve-warm-4-clients: concurrent clients, one flow each, fresh
-    // connections per sample so the worker pool is exercised end to end.
-    {
-        let (median, min) = time_median(samples, || {
+    // serve-warm-4-clients: concurrent clients, one flow each.
+    rows.record(
+        || {
+            let server = spawn(Arc::clone(&session));
+            let addr = server.addr();
             std::thread::scope(|s| {
-                let handles: Vec<_> = (0..FLOWS_PER_SAMPLE)
+                let handles: Vec<_> = (0..FLOWS_PER_ROW)
                     .map(|_| {
                         s.spawn(|| {
                             let mut client = Client::connect(addr).expect("connect");
@@ -247,20 +205,14 @@ pub fn measure(label: &str, samples: u32) -> Option<BenchReport> {
                     h.join().expect("client thread");
                 }
             });
-        });
-        rows.push(row_from(
-            "serve-warm-4-clients",
-            median,
-            min,
-            samples,
-            reference_median,
-            &reference,
-        ));
-    }
+            server.shutdown();
+        },
+        row("serve-warm-4-clients"),
+    );
 
-    // The warm-cache anchor: the entire timed warm phase must not have
-    // synthesized a single new plan — every request hit the memo.
-    let after = stats_via(addr);
+    // The warm-cache anchor: the warm rows must not have synthesized a
+    // single new plan — every request hit the memo.
+    let after = session.stats();
     assert_eq!(
         after.model_misses, primed.model_misses,
         "warm serving must not miss the synthesis cache"
@@ -269,17 +221,13 @@ pub fn measure(label: &str, samples: u32) -> Option<BenchReport> {
         after.model_hits > primed.model_hits,
         "warm serving must be answered from the synthesis cache"
     );
-    server.shutdown();
 
-    Some(BenchReport {
-        space: label.into(),
-        candidates: DesignSpace::paper().plans().count(),
-        kernels: apps.iter().map(|a| a.kernels.len()).sum(),
-        threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        samples,
-        selected_pe_count: reference.base.geometry().pe_count(),
-        engines: rows,
-    })
+    Some(rows.measured(
+        label,
+        DesignSpace::paper().plans().count(),
+        apps.iter().map(|a| a.kernels.len()).sum(),
+        reference.base.geometry().pe_count(),
+    ))
 }
 
 #[cfg(test)]
@@ -288,7 +236,7 @@ mod tests {
 
     #[test]
     fn serve_benchmark_measures_all_four_rows_bit_identically() {
-        let report = measure("serve-flows", 1).unwrap();
+        let report = measure("serve-flows").unwrap().report;
         assert_eq!(report.engines.len(), 4);
         assert_eq!(report.engines[0].name, "serial-reference");
         let names: Vec<&str> = report.engines.iter().map(|e| e.name.as_str()).collect();
@@ -310,6 +258,6 @@ mod tests {
         assert_eq!(report.selected_pe_count, 64);
         assert_eq!(report.kernels, 3);
         // Unknown labels are refused.
-        assert!(measure("serve-imaginary", 1).is_none());
+        assert!(measure("serve-imaginary").is_none());
     }
 }

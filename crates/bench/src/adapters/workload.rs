@@ -9,7 +9,7 @@
 //! candidates) genuinely selects the paper's **8×8** array —
 //! `reduce8192x8x8` overflows the smaller arrays' configuration caches —
 //! and the report's `selected_pe_count: 64` anchor gates that selection
-//! in CI alongside the usual timing and feasible-count rules.
+//! in CI alongside the other exact anchors.
 //!
 //! The suite also contains `matmul16`, whose rearranged schedules
 //! outgrow the 256-deep configuration cache on stall-heavy sharing
@@ -20,11 +20,10 @@
 //!
 //! One tracked label (`flow-workload`, the paper's 12-point space) with
 //! the same two configurations as the flow adapter: `serial-reference`
-//! and `flow-parallel`. Both rows produce bit-identical flow outputs;
-//! only the work they perform differs.
+//! and `flow-parallel`. Both rows produce bit-identical flow outputs.
 
-use crate::adapters::flow::measure_configs;
-use crate::gate::BenchReport;
+use super::flow::measure_configs;
+use super::Measured;
 use rsp_core::{AppProfile, Constraints, DesignSpace, FlowConfig, Objective};
 use rsp_workload::{registry, SUITE_MAX_SLOWDOWN};
 
@@ -57,11 +56,10 @@ fn config(parallelism: Option<usize>) -> FlowConfig {
     }
 }
 
-/// Measures the tracked label (`flow-workload`) with `samples` measured
-/// repetitions per configuration; `None` for an unknown label. The
-/// measurement scaffold is shared with the flow adapter
+/// Measures the tracked label (`flow-workload`); `None` for an unknown
+/// label. The scaffold is shared with the flow adapter
 /// ([`crate::adapters::flow`]).
-pub fn measure(label: &str, samples: u32) -> Option<BenchReport> {
+pub fn measure(label: &str) -> Option<Measured> {
     if label != "flow-workload" {
         return None;
     }
@@ -70,7 +68,6 @@ pub fn measure(label: &str, samples: u32) -> Option<BenchReport> {
         label,
         &apps,
         DesignSpace::paper().plans().count(),
-        samples,
         &config,
     ))
 }
@@ -81,7 +78,7 @@ mod tests {
 
     #[test]
     fn workload_benchmark_selects_the_8x8_geometry() {
-        let report = measure("flow-workload", 1).unwrap();
+        let report = measure("flow-workload").unwrap().report;
         assert_eq!(report.selected_pe_count, 64);
         assert_eq!(report.engines.len(), 2);
         assert_eq!(report.engines[0].name, "serial-reference");
@@ -94,6 +91,6 @@ mod tests {
             assert!(e.refill_stall_cycles > 0, "{}: no refill stalls", e.name);
         }
         // Unknown labels are refused.
-        assert!(measure("flow-imaginary", 1).is_none());
+        assert!(measure("flow-imaginary").is_none());
     }
 }

@@ -1,32 +1,30 @@
 //! The one generic benchmark runner over the registry
-//! ([`rsp_bench::registry`]): lists, runs, gates, and diffs every
-//! tracked benchmark (`BENCH_explore.json`, `BENCH_flow.json`,
-//! `BENCH_workload.json`, `BENCH_soak.json`) from its declarative
-//! definition.
+//! ([`rsp_bench::registry`]): lists, runs and gates every tracked
+//! benchmark (`BENCH_explore.json`, `BENCH_flow.json`, ...) from its
+//! declarative definition.
 //!
 //! ```sh
 //! cargo run --release -p rsp-bench --bin headline                    # claims + registry summary
 //! cargo run --release -p rsp-bench --bin headline -- --list
 //! cargo run --release -p rsp-bench --bin headline -- --list --filter 'rsp/f*'
-//! cargo run --release -p rsp-bench --bin headline -- --run 'rsp/*' --samples 5
-//! cargo run --release -p rsp-bench --bin headline -- --run rsp/explore --samples 21 --json BENCH_explore.json
-//! cargo run --release -p rsp-bench --bin headline -- --check BENCH_explore.json --tolerance 0.15
-//! cargo run --release -p rsp-bench --bin headline -- --check-all --tolerance 0.15 --emit bench-regen
-//! cargo run --release -p rsp-bench --bin headline -- --cmp BENCH_explore.json bench-regen/BENCH_explore.json
-//! cargo run --release -p rsp-bench --bin headline -- --cmp . bench-regen
+//! cargo run --release -p rsp-bench --bin headline -- --run 'rsp/*'
+//! cargo run --release -p rsp-bench --bin headline -- --run rsp/explore --json BENCH_explore.json
+//! cargo run --release -p rsp-bench --bin headline -- --check BENCH_explore.json
+//! cargo run --release -p rsp-bench --bin headline -- --check-all
 //! cargo run --release -p rsp-bench --bin headline -- --deadline-ms 200 --resume soak.ckpt.json
-//! cargo run --release -p rsp-bench --bin headline -- --profile rsp/explore
 //! ```
 //!
 //! `--list` prints every benchmark definition — workload, space,
 //! engines, anchors, tracked labels, and the exact regeneration command
 //! — optionally narrowed by `--filter <id-glob>` (`*`/`?` wildcards).
 //!
-//! `--run <id-glob>` measures every matching definition (all its
-//! tracked labels) and prints the report tables; with `--json <path>`
-//! the glob must match exactly one benchmark (each artifact holds one)
-//! and its artifact is written there. `--samples` overrides the
-//! per-definition default.
+//! `--run <id-glob>` runs every matching definition (all its tracked
+//! labels, each row once) and prints, per row, its anchors and its
+//! phase table: the count, delta sum and span time of every
+//! `(target, name)` event the row recorded. The time is shown, never
+//! stored. With `--json <path>` the glob must match exactly one
+//! benchmark (each artifact holds one) and its artifact is written
+//! there.
 //!
 //! `--check <artifact>` is the benchmark-regression gate for one
 //! committed artifact; it may be repeated. The artifact's `benchmark`
@@ -36,29 +34,10 @@
 //! the current directory, pairs each with its definition by id, and
 //! *additionally* fails when an artifact has no definition or a
 //! definition has no committed artifact — discovery errors abort before
-//! any measurement. Both replay every committed report (same labels and
-//! sample counts) through [`rsp_bench::gate::check_with`] and exit
-//! non-zero when an engine's reference-normalized median **and**
-//! best-of-N both regress beyond `--tolerance` (default 0.15), when a
-//! correctness anchor drifts, or when a committed engine configuration
-//! disappears — the full rules are in `crates/bench/METHODOLOGY.md`.
-//! `--emit <dir>` writes each freshly re-run artifact to
-//! `<dir>/<artifact filename>` so CI can upload and diff them.
-//!
-//! `--cmp <before> <after>` renders a rebar-style markdown diff of two
-//! artifact files, or of two directories of `BENCH_*.json` artifacts
-//! paired by filename ([`rsp_bench::cmp`]) — CI appends the
-//! committed-vs-regenerated diff to the step summary on every run.
-//! `--cmp` never exits non-zero on drift (the gate owns the verdict);
-//! only unreadable inputs fail.
-//!
-//! `--profile <bench-id>` runs one registry benchmark (default 1 sample
-//! per row, override with `--samples`) with an in-memory recorder
-//! installed as the process-global `rsp_obs` recorder, then prints the
-//! per-phase time breakdown — exploration's prepare/screen chunks, the
-//! flow's profile/select/explore/exact phases,
-//! prune and refill counters — aggregated across every event the run
-//! emitted. Observational only: the benchmark's anchors still assert.
+//! any measurement. Both re-run every committed report through
+//! [`rsp_bench::gate::check_with`] and exit non-zero when any field
+//! differs, printing `committed → now` for each drift (rules in
+//! `crates/bench/METHODOLOGY.md`).
 //!
 //! `--deadline-ms N` demonstrates the anytime layer live: one deep-space
 //! exploration under a wall-clock deadline, reporting how far it got and
@@ -73,8 +52,7 @@
 //! naming the file — and, for schema drift, the offending field — never
 //! a panic backtrace.
 
-use rsp_bench::cmp;
-use rsp_bench::gate::{self, BenchArtifact, CheckOutcome};
+use rsp_bench::gate::BenchArtifact;
 use rsp_bench::registry::{registry, BenchDef};
 use std::path::Path;
 use std::time::Duration;
@@ -171,97 +149,19 @@ fn run_anytime(deadline_ms: Option<u64>, resume_path: Option<&str>) {
     }
 }
 
-/// The per-phase time profile: installs a `RingRecorder` as the
-/// process-global recorder, runs one registry benchmark under it, and
-/// renders the aggregate `(target, phase)` breakdown the engine's spans
-/// and counters recorded. Purely observational — the benchmark's own
-/// anchors still run and still assert.
-fn run_profile(id: &str, samples: u32) {
-    use rsp_obs::RingRecorder;
-    use std::sync::Arc;
-
-    let Some(def) = registry().find(id) else {
-        fail(format!(
-            "no benchmark with id {id:?} (known ids: {})",
-            registry().ids().join(", ")
-        ));
-    };
-    // Installed before `run_all` so every option struct the adapters
-    // build (they default their recorder from the global) records here.
-    let ring = Arc::new(RingRecorder::new(65_536));
-    let prev = rsp_obs::set_global(ring.clone());
-    let artifact = def.run_all(samples);
-    rsp_obs::set_global(prev);
-
-    println!(
-        "phase profile: {} — {} ({} report(s), {samples} sample(s) per row)",
-        def.id,
-        def.title,
-        artifact.reports.len()
-    );
-    let summary = ring.summary();
-    if summary.is_empty() {
-        println!("  no events recorded — this benchmark exercises no instrumented phase");
-        return;
-    }
-    let span_total: u64 = summary.iter().map(|(_, s)| s.total_ns).sum();
-    println!(
-        "  {:<9} {:<13} {:>10} {:>12} {:>12} {:>7} {:>10}",
-        "target", "phase", "events", "total_ms", "mean_us", "%time", "delta"
-    );
-    for ((target, name), s) in &summary {
-        let total_ms = s.total_ns as f64 / 1e6;
-        let mean_us = s.total_ns as f64 / s.count.max(1) as f64 / 1e3;
-        let pct = 100.0 * s.total_ns as f64 / span_total.max(1) as f64;
-        println!(
-            "  {target:<9} {name:<13} {:>10} {total_ms:>12.3} {mean_us:>12.2} {pct:>6.1}% {:>10}",
-            s.count, s.total_delta
-        );
-    }
-    println!(
-        "  events retained {} / recorded {} (ring capacity 65536; totals above are wrap-proof)",
-        ring.events().len(),
-        ring.total()
-    );
-}
-
 /// Gates one committed artifact against its definition; prints the
-/// status lines, writes the fresh rerun under `emit_dir`, and returns
-/// whether the gate passed.
-fn check_one(
-    def: &BenchDef,
-    path: &str,
-    committed: &BenchArtifact,
-    tolerance: f64,
-    emit_dir: Option<&str>,
-) -> bool {
-    let outcome: CheckOutcome = def.check(committed, tolerance);
+/// status lines and every drift, and returns whether the gate passed.
+fn check_one(def: &BenchDef, committed: &BenchArtifact) -> bool {
+    let outcome = def.check(committed);
     for line in &outcome.lines {
         println!("  {line}");
-    }
-    if let Some(dir) = emit_dir {
-        std::fs::create_dir_all(dir)
-            .unwrap_or_else(|e| fail(format!("cannot create --emit directory {dir}: {e}")));
-        let Some(name) = Path::new(path).file_name() else {
-            fail(format!("--check path {path} has no file name"));
-        };
-        let out = Path::new(dir).join(name);
-        let json = serde_json::to_string_pretty(&outcome.fresh)
-            .unwrap_or_else(|e| fail(format!("artifact does not serialize: {e}")));
-        std::fs::write(&out, json + "\n").unwrap_or_else(|e| {
-            fail(format!(
-                "cannot write regenerated artifact {}: {e}",
-                out.display()
-            ))
-        });
-        println!("  regenerated artifact written to {}", out.display());
     }
     if outcome.passed() {
         println!("  PASSED");
     } else {
         eprintln!("  FAILED:");
-        for r in &outcome.regressions {
-            eprintln!("    {r}");
+        for drift in &outcome.drifts {
+            eprintln!("    {drift}");
         }
     }
     outcome.passed()
@@ -274,13 +174,8 @@ fn main() {
     let mut json_path: Option<String> = None;
     let mut check_paths: Vec<String> = Vec::new();
     let mut check_all = false;
-    let mut cmp_paths: Option<(String, String)> = None;
-    let mut emit_dir: Option<String> = None;
-    let mut tolerance: Option<f64> = None;
-    let mut samples: Option<u32> = None;
     let mut deadline_ms: Option<u64> = None;
     let mut resume_path: Option<String> = None;
-    let mut profile_id: Option<String> = None;
     let mut args = std::env::args().skip(1);
     let next = |flag: &str, args: &mut dyn Iterator<Item = String>| -> String {
         args.next()
@@ -294,15 +189,6 @@ fn main() {
             "--json" => json_path = Some(next("--json", &mut args)),
             "--check" => check_paths.push(next("--check", &mut args)),
             "--check-all" => check_all = true,
-            "--cmp" => {
-                let before = next("--cmp", &mut args);
-                let after = args
-                    .next()
-                    .unwrap_or_else(|| usage_error("--cmp needs two paths (before and after)"));
-                cmp_paths = Some((before, after));
-            }
-            "--emit" => emit_dir = Some(next("--emit", &mut args)),
-            "--profile" => profile_id = Some(next("--profile", &mut args)),
             "--resume" => resume_path = Some(next("--resume", &mut args)),
             "--deadline-ms" => {
                 let raw = next("--deadline-ms", &mut args);
@@ -310,26 +196,6 @@ fn main() {
                     .parse()
                     .unwrap_or_else(|_| usage_error("--deadline-ms needs a millisecond count"));
                 deadline_ms = Some(ms);
-            }
-            "--tolerance" => {
-                let raw = next("--tolerance", &mut args);
-                let t: f64 = raw
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--tolerance needs a number"));
-                if t < 0.0 {
-                    usage_error("--tolerance must be non-negative");
-                }
-                tolerance = Some(t);
-            }
-            "--samples" => {
-                let raw = next("--samples", &mut args);
-                let n: u32 = raw
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--samples needs a number"));
-                if n < 1 {
-                    usage_error("--samples must be at least 1");
-                }
-                samples = Some(n);
             }
             other => usage_error(&format!("unknown argument {other:?}")),
         }
@@ -339,31 +205,19 @@ fn main() {
         list,
         run_glob.is_some(),
         !check_paths.is_empty() || check_all,
-        cmp_paths.is_some(),
         deadline_ms.is_some() || resume_path.is_some(),
-        profile_id.is_some(),
     ];
     if modes.iter().filter(|m| **m).count() > 1 {
-        usage_error(
-            "--list/--run/--check/--check-all/--cmp/--deadline-ms/--profile are exclusive modes",
-        );
+        usage_error("--list/--run/--check/--check-all/--deadline-ms are exclusive modes");
     }
     if filter.is_some() && !list {
         usage_error("--filter only applies to --list");
     }
-
-    if let Some(id) = profile_id {
-        if json_path.is_some() || tolerance.is_some() || emit_dir.is_some() {
-            usage_error("--profile only takes --samples");
-        }
-        run_profile(&id, samples.unwrap_or(1));
-        return;
+    if json_path.is_some() && run_glob.is_none() {
+        usage_error("--json only applies to --run");
     }
 
     if deadline_ms.is_some() || resume_path.is_some() {
-        if json_path.is_some() || samples.is_some() || tolerance.is_some() || emit_dir.is_some() {
-            usage_error("--deadline-ms/--resume run the anytime demo and take no other flags");
-        }
         run_anytime(deadline_ms, resume_path.as_deref());
         return;
     }
@@ -373,32 +227,7 @@ fn main() {
         return;
     }
 
-    if let Some((before, after)) = cmp_paths {
-        if json_path.is_some() || samples.is_some() || emit_dir.is_some() {
-            usage_error("--cmp only takes --tolerance");
-        }
-        let diff = cmp::cmp_paths(
-            Path::new(&before),
-            Path::new(&after),
-            tolerance.unwrap_or(cmp::DEFAULT_TOLERANCE),
-        )
-        .unwrap_or_else(|e| fail(e));
-        print!("{diff}");
-        return;
-    }
-
     if !check_paths.is_empty() || check_all {
-        // Checking replays the committed reports at their recorded
-        // sample counts and writes no --json; flags that only make sense
-        // for a measuring run are a usage error, not something to drop
-        // silently.
-        if json_path.is_some() || samples.is_some() {
-            usage_error(
-                "--check/--check-all are exclusive: they neither write --json nor take \
-                 --samples (each committed artifact selects its own benchmark and sample counts)",
-            );
-        }
-        let tolerance = tolerance.unwrap_or(0.15);
         let mut failed = false;
 
         // Pair every artifact with its definition up front: --check-all
@@ -443,11 +272,8 @@ fn main() {
         }
 
         for (path, committed, def) in &jobs {
-            println!(
-                "benchmark-regression gate: {path} [{}] (tolerance {tolerance})",
-                def.id
-            );
-            if !check_one(def, path, committed, tolerance, emit_dir.as_deref()) {
+            println!("benchmark-regression gate: {path} [{}]", def.id);
+            if !check_one(def, committed) {
                 failed = true;
             }
         }
@@ -457,10 +283,6 @@ fn main() {
         }
         println!("gate PASSED");
         return;
-    }
-
-    if tolerance.is_some() || emit_dir.is_some() {
-        usage_error("--tolerance/--emit only apply to --check/--check-all/--cmp modes");
     }
 
     if let Some(glob) = run_glob {
@@ -480,10 +302,16 @@ fn main() {
             ));
         }
         for def in defs {
-            let artifact = def.run_all(samples.unwrap_or(def.default_samples));
+            let measured = def.run_all();
             println!("{} — {}", def.id, def.title);
-            print!("{}", gate::render_all(&artifact));
+            for m in &measured {
+                print!("{}", m.render());
+            }
             if let Some(path) = &json_path {
+                let artifact = BenchArtifact {
+                    benchmark: def.id.into(),
+                    reports: measured.into_iter().map(|m| m.report).collect(),
+                };
                 let json = serde_json::to_string_pretty(&artifact)
                     .unwrap_or_else(|e| fail(format!("artifact does not serialize: {e}")));
                 std::fs::write(path, json + "\n").unwrap_or_else(|e| {
@@ -493,10 +321,6 @@ fn main() {
             }
         }
         return;
-    }
-
-    if json_path.is_some() || samples.is_some() {
-        usage_error("--json/--samples only apply to --run mode");
     }
 
     // Bare invocation: the paper's headline claims plus the registry

@@ -1,62 +1,102 @@
 //! Shared benchmark-artifact schema and the CI regression gate.
 //!
 //! Every artifact the registry tracks ([`crate::registry`]) uses the
-//! same rebar-style shape: [`BenchReport`]s of [`EngineRow`]s with
-//! median-of-N and best-of-N wall-clock plus correctness anchors
-//! (feasible-design counts, refill and pruning counters, the selected
-//! base geometry), and one `serial-reference`
-//! row per report serving as the
-//! normalization yardstick. [`check_with`] implements the gate shared
-//! by all of them: a row regresses only when its reference-normalized
-//! median **and** best-of-N both exceed the tolerance (the
-//! median-AND-best rule that keeps the gate stable on noisy 1-CPU
-//! hosts), or when a correctness anchor drifts. The full methodology —
-//! normalization, the cross-host core-count convention, anchor
-//! semantics, and the regeneration discipline — is documented in
-//! `crates/bench/METHODOLOGY.md`.
+//! same shape: [`BenchReport`]s of [`EngineRow`]s, each row an exact
+//! record of one run — its correctness anchors (feasible-design counts,
+//! pruning and refill counters, the selected base geometry) and the
+//! work it did, as the count and delta sum of every `(target, name)`
+//! event it recorded ([`EventCount`]). Nothing in an artifact is a
+//! timing, so nothing in it depends on the host. [`check_with`] is the
+//! gate shared by all of them: it re-runs every committed report and
+//! fails on any field that differs at all. The methodology is
+//! documented in `crates/bench/METHODOLOGY.md`.
 
+use rsp_core::{Exploration, FlowReport};
 use serde::{Deserialize, Serialize};
+use std::collections::{BTreeMap, BTreeSet};
 
-/// One engine's timing row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// How often one `(target, name)` event was recorded in a row's run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct EventCount {
+    /// Events recorded (spans, points and counts alike).
+    pub count: u64,
+    /// Summed `delta` of its count events (0 for spans and points).
+    pub delta: u64,
+}
+
+/// A row's recorded events, keyed `target/name`.
+pub type Events = BTreeMap<String, EventCount>;
+
+/// One engine configuration's run.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineRow {
     /// Engine configuration name.
     pub name: String,
-    /// Median wall-clock per run (nanoseconds).
-    pub median_ns: u64,
-    /// Minimum observed (nanoseconds).
-    pub min_ns: u64,
-    /// Measured samples (after one warmup).
-    pub samples: u32,
-    /// Speedup versus the serial reference (reference median / this
-    /// median).
-    pub speedup_vs_reference: f64,
-    /// Feasible designs the run produced (sanity anchor: engines must
-    /// agree).
+    /// Feasible designs the run produced.
     pub feasible: usize,
-    /// Candidate plans enumerated from the space (exact-drift anchor:
-    /// the enumeration is deterministic, so any change is a code
-    /// change).
+    /// Candidate plans enumerated from the space.
     pub candidates_seen: usize,
-    /// Candidates the engine cut on the slowdown constraint (exact-drift
-    /// anchor: cut decisions are deterministic at every thread count).
+    /// Candidates the engine cut on the slowdown constraint.
     pub candidates_pruned: usize,
     /// Candidates the stage-floor clock bound cut before delay
-    /// synthesis (subset of `candidates_pruned`; exact-drift anchor).
+    /// synthesis (subset of `candidates_pruned`).
     pub clock_bound_cuts: usize,
     /// Flow rows only: configuration-cache refills performed across the
-    /// exact rearrangements (schedule segments beyond the first). A
-    /// correctness anchor: the `flow-workload` report records a nonzero
-    /// count — matmul16's stall-heavy schedules split instead of
-    /// overflowing — and the gate fails on any drift.
+    /// exact rearrangements (schedule segments beyond the first).
     pub refill_segments: usize,
-    /// Flow rows only: refill-stall cycles those splits charged
-    /// (anchored against drift together with `refill_segments`).
+    /// Flow rows only: refill-stall cycles those splits charged.
     pub refill_stall_cycles: u64,
+    /// Every event the run recorded — the work it did, counted: chunks
+    /// prepared, candidates pruned, flow phases, scheduler passes,
+    /// served requests.
+    pub events: Events,
 }
 
-/// Timings of every engine over one benchmark configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+impl EngineRow {
+    /// A row over one exploration's anchors.
+    pub fn from_exploration(name: &str, run: &Exploration, events: Events) -> EngineRow {
+        EngineRow {
+            name: name.into(),
+            feasible: run.feasible.len(),
+            candidates_seen: run.stats.candidates_seen,
+            candidates_pruned: run.stats.candidates_pruned,
+            clock_bound_cuts: run.stats.clock_bound_cuts,
+            refill_segments: 0,
+            refill_stall_cycles: 0,
+            events,
+        }
+    }
+
+    /// A row over one flow's anchors.
+    pub fn from_flow(name: &str, report: &FlowReport, events: Events) -> EngineRow {
+        EngineRow {
+            name: name.into(),
+            feasible: report.exploration.feasible.len(),
+            candidates_seen: report.exploration.stats.candidates_seen,
+            candidates_pruned: report.stats.candidates_pruned,
+            clock_bound_cuts: report.stats.clock_bound_cuts,
+            refill_segments: report.stats.refill_segments,
+            refill_stall_cycles: report.stats.refill_stall_cycles,
+            events,
+        }
+    }
+
+    /// The one-line anchor summary `--run` prints.
+    pub fn summary(&self) -> String {
+        format!(
+            "{} feasible, {}/{} pruned [{} clock-cut], {} refills/{} stall-cyc",
+            self.feasible,
+            self.candidates_pruned,
+            self.candidates_seen,
+            self.clock_bound_cuts,
+            self.refill_segments,
+            self.refill_stall_cycles,
+        )
+    }
+}
+
+/// Every engine row over one benchmark configuration.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BenchReport {
     /// Configuration label (`extended`, `deep`, `flow-paper`, ...).
     pub space: String,
@@ -64,71 +104,21 @@ pub struct BenchReport {
     pub candidates: usize,
     /// Kernels in the workload.
     pub kernels: usize,
-    /// Worker threads available to the parallel engines.
-    pub threads: usize,
-    /// Measured samples per engine (after one warmup).
-    pub samples: u32,
     /// PE count of the base geometry the flow's multi-geometry
     /// exploration selected (`0` for benchmarks that do not explore
-    /// geometries). A correctness anchor: the `flow-workload` report
-    /// records `64` — the generated suite genuinely selects the paper's
-    /// 8×8 — and the gate fails if that selection ever drifts.
+    /// geometries).
     pub selected_pe_count: usize,
-    /// Timing rows, reference first.
+    /// The rows, reference first.
     pub engines: Vec<EngineRow>,
 }
 
-/// One whole committed artifact (`BENCH_explore.json` /
-/// `BENCH_flow.json`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// One whole committed artifact (`BENCH_explore.json`, ...).
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BenchArtifact {
-    /// Artifact schema/benchmark id (`rsp/explore`, `rsp/flow`).
+    /// Benchmark id (`rsp/explore`, `rsp/flow`, ...).
     pub benchmark: String,
     /// One report per tracked configuration.
     pub reports: Vec<BenchReport>,
-}
-
-/// Renders a human-readable summary table of one report.
-pub fn render(report: &BenchReport) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    let geometry = if report.selected_pe_count > 0 {
-        format!(", selects {}-PE base", report.selected_pe_count)
-    } else {
-        String::new()
-    };
-    let _ = writeln!(
-        s,
-        "{} ({} candidates x {} kernels, {} threads, median of {}{}):",
-        report.space, report.candidates, report.kernels, report.threads, report.samples, geometry
-    );
-    for e in &report.engines {
-        let _ = writeln!(
-            s,
-            "  {:<24} {:>10.3} ms   {:>6.2}x   ({} feasible, {}/{} pruned \
-             [{} clock-cut], {} refills/{} stall-cyc)",
-            e.name,
-            e.median_ns as f64 / 1e6,
-            e.speedup_vs_reference,
-            e.feasible,
-            e.candidates_pruned,
-            e.candidates_seen,
-            e.clock_bound_cuts,
-            e.refill_segments,
-            e.refill_stall_cycles,
-        );
-    }
-    s
-}
-
-/// Renders every report of an artifact.
-pub fn render_all(artifact: &BenchArtifact) -> String {
-    artifact
-        .reports
-        .iter()
-        .map(render)
-        .collect::<Vec<_>>()
-        .join("\n")
 }
 
 /// Outcome of a benchmark-regression check ([`check_with`]).
@@ -136,190 +126,135 @@ pub fn render_all(artifact: &BenchArtifact) -> String {
 pub struct CheckOutcome {
     /// One status line per compared engine row.
     pub lines: Vec<String>,
-    /// Human-readable failures; empty means the gate passes.
-    pub regressions: Vec<String>,
-    /// The freshly re-run reports (same labels and sample counts as the
-    /// committed artifact) — written out by `headline --emit` so CI can
-    /// upload them for diffing when the gate fails.
-    pub fresh: BenchArtifact,
+    /// One `committed → now` line per drifted field; empty means the
+    /// gate passes.
+    pub drifts: Vec<String>,
 }
 
 impl CheckOutcome {
     /// Whether the gate passes.
     pub fn passed(&self) -> bool {
-        self.regressions.is_empty()
+        self.drifts.is_empty()
     }
 }
 
 /// The shared benchmark-regression gate: re-runs every report of the
 /// committed artifact through `rerun` (which maps a committed report's
-/// label back to a fresh measurement at the same sample count, or `None`
-/// for an unknown label) and compares engine rows by name.
-///
-/// A row regresses when its reference-normalized median **and**
-/// best-of-N both exceed the committed ratios by more than `tolerance`
-/// (e.g. `0.15` = +15 %), when a correctness anchor drifts at all
-/// (feasible count, refill counters, pruning counters, selected base
-/// geometry), or when a committed engine
-/// configuration disappears. The `serial-reference`
-/// row is the yardstick and is checked for anchor drift only; when the
-/// committed `threads` differs from the host's, timing is gated only
-/// for core-count-independent rows (names containing `1-thread`). The
-/// rationale for each rule is in `crates/bench/METHODOLOGY.md`.
+/// label back to a fresh measurement, or `None` for an unknown label)
+/// and compares every field exactly — report fields, the set of rows,
+/// and each row's anchors and event counts by name. Each difference is
+/// one drift line, `committed → now`.
 pub fn check_with(
     committed: &BenchArtifact,
-    tolerance: f64,
     rerun: impl Fn(&BenchReport) -> Option<BenchReport>,
 ) -> CheckOutcome {
     let mut outcome = CheckOutcome {
         lines: Vec::new(),
-        regressions: Vec::new(),
-        fresh: BenchArtifact {
-            benchmark: committed.benchmark.clone(),
-            reports: Vec::new(),
-        },
+        drifts: Vec::new(),
     };
     for old in &committed.reports {
         let Some(new) = rerun(old) else {
             outcome
-                .regressions
+                .drifts
                 .push(format!("unknown committed label {:?}", old.space));
             continue;
         };
-        let reference = |report: &BenchReport| {
-            report
-                .engines
-                .iter()
-                .find(|e| e.name == "serial-reference")
-                .map(|e| (e.median_ns as f64, e.min_ns as f64))
-        };
-        let Some(old_ref) = reference(old) else {
-            outcome.regressions.push(format!(
-                "{}: committed report lacks the serial-reference yardstick",
-                old.space
-            ));
-            continue;
-        };
-        let new_ref = reference(&new).expect("rerun always measures the reference");
-        if new.selected_pe_count != old.selected_pe_count {
-            outcome.regressions.push(format!(
-                "{}: selected base geometry drifted {} -> {} PEs",
-                old.space, old.selected_pe_count, new.selected_pe_count
-            ));
+        let report_fields = [
+            ("candidates", old.candidates, new.candidates),
+            ("kernels", old.kernels, new.kernels),
+            (
+                "selected_pe_count",
+                old.selected_pe_count,
+                new.selected_pe_count,
+            ),
+        ];
+        for (field, was, now) in report_fields {
+            if was != now {
+                outcome
+                    .drifts
+                    .push(format!("{}: {field} {was} → {now}", old.space));
+            }
         }
-        let threads_match = old.threads == new.threads;
-        if !threads_match {
-            outcome.lines.push(format!(
-                "{}: committed threads {} != host threads {} — timing gated for \
-                 core-count-independent rows only",
-                old.space, old.threads, new.threads
-            ));
+        for new_row in &new.engines {
+            if !old.engines.iter().any(|e| e.name == new_row.name) {
+                outcome.drifts.push(format!(
+                    "{}/{}: row not in the committed artifact",
+                    old.space, new_row.name
+                ));
+            }
         }
         for old_row in &old.engines {
+            let at = format!("{}/{}", old.space, old_row.name);
             let Some(new_row) = new.engines.iter().find(|e| e.name == old_row.name) else {
-                outcome.regressions.push(format!(
-                    "{}/{}: engine configuration no longer measured",
-                    old.space, old_row.name
-                ));
+                outcome
+                    .drifts
+                    .push(format!("{at}: engine configuration no longer measured"));
                 continue;
             };
-            // Reference-normalized timings: fraction of the same run's
-            // serial-reference cost.
-            let old_med = old_row.median_ns as f64 / old_ref.0;
-            let new_med = new_row.median_ns as f64 / new_ref.0;
-            let old_min = old_row.min_ns as f64 / old_ref.1;
-            let new_min = new_row.min_ns as f64 / new_ref.1;
-            let med_ratio = new_med / old_med;
-            let min_ratio = new_min / old_min;
-            let is_reference = old_row.name == "serial-reference";
-            // Parallel rows' ratio to the reference scales with core
-            // count; only gate them when the host matches the artifact.
-            // Single-threaded rows are core-count-independent and stay
-            // gated either way.
-            let single_threaded = old_row.name.contains("1-thread");
-            let timing_gated = !is_reference && (threads_match || single_threaded);
-            let verdict = if new_row.feasible != old_row.feasible {
-                outcome.regressions.push(format!(
-                    "{}/{}: feasible count drifted {} -> {}",
-                    old.space, old_row.name, old_row.feasible, new_row.feasible
-                ));
-                "FEASIBLE-DRIFT"
-            } else if new_row.refill_segments != old_row.refill_segments
-                || new_row.refill_stall_cycles != old_row.refill_stall_cycles
-            {
-                outcome.regressions.push(format!(
-                    "{}/{}: refill anchors drifted {} segments/{} stall-cycles -> {}/{}",
-                    old.space,
-                    old_row.name,
-                    old_row.refill_segments,
-                    old_row.refill_stall_cycles,
-                    new_row.refill_segments,
-                    new_row.refill_stall_cycles
-                ));
-                "REFILL-DRIFT"
-            } else if new_row.candidates_seen != old_row.candidates_seen
-                || new_row.candidates_pruned != old_row.candidates_pruned
-                || new_row.clock_bound_cuts != old_row.clock_bound_cuts
-            {
-                outcome.regressions.push(format!(
-                    "{}/{}: pruning anchors drifted {}/{} seen/pruned \
-                     [{} clock-cut] -> {}/{} [{}]",
-                    old.space,
-                    old_row.name,
-                    old_row.candidates_seen,
-                    old_row.candidates_pruned,
-                    old_row.clock_bound_cuts,
-                    new_row.candidates_seen,
-                    new_row.candidates_pruned,
-                    new_row.clock_bound_cuts
-                ));
-                "PRUNE-DRIFT"
-            } else if timing_gated && med_ratio > 1.0 + tolerance && min_ratio > 1.0 + tolerance {
-                outcome.regressions.push(format!(
-                    "{}/{}: normalized median {:.3}x-ref -> {:.3}x-ref (+{:.0} %) and \
-                     normalized min (+{:.0} %) both exceed the {:.0} % tolerance",
-                    old.space,
-                    old_row.name,
-                    old_med,
-                    new_med,
-                    (med_ratio - 1.0) * 100.0,
-                    (min_ratio - 1.0) * 100.0,
-                    tolerance * 100.0
-                ));
-                "REGRESSED"
-            } else {
+            let before = outcome.drifts.len();
+            diff_rows(&at, old_row, new_row, &mut outcome.drifts);
+            let verdict = if outcome.drifts.len() == before {
                 "ok"
+            } else {
+                "DRIFT"
             };
             outcome.lines.push(format!(
-                "{}/{}: median {:.3} ms ({:.3}x-ref, committed {:.3}x-ref, {:+.1} %), \
-                 min {:+.1} % {}",
-                old.space,
-                old_row.name,
-                new_row.median_ns as f64 / 1e6,
-                new_med,
-                old_med,
-                (med_ratio - 1.0) * 100.0,
-                (min_ratio - 1.0) * 100.0,
-                verdict
+                "{at}: {} ({} event kinds) {verdict}",
+                new_row.summary(),
+                new_row.events.len()
             ));
         }
-        outcome.fresh.reports.push(new);
     }
     outcome
 }
 
-/// Times `f` with one warmup plus `samples` measured runs; returns
-/// `(median, min)` nanoseconds.
-pub(crate) fn time_median<F: FnMut()>(samples: u32, mut f: F) -> (u64, u64) {
-    assert!(samples >= 1, "need at least one sample");
-    f(); // warmup
-    let mut times: Vec<u64> = (0..samples)
-        .map(|_| {
-            let t = std::time::Instant::now();
-            f();
-            t.elapsed().as_nanos() as u64
-        })
-        .collect();
-    times.sort_unstable();
-    (times[times.len() / 2], times[0])
+/// Appends one `committed → now` line per differing field of two rows.
+/// An event kind one side never recorded counts as `count 0, delta 0`.
+fn diff_rows(at: &str, old: &EngineRow, new: &EngineRow, drifts: &mut Vec<String>) {
+    let fields = [
+        ("feasible", old.feasible as u64, new.feasible as u64),
+        (
+            "candidates_seen",
+            old.candidates_seen as u64,
+            new.candidates_seen as u64,
+        ),
+        (
+            "candidates_pruned",
+            old.candidates_pruned as u64,
+            new.candidates_pruned as u64,
+        ),
+        (
+            "clock_bound_cuts",
+            old.clock_bound_cuts as u64,
+            new.clock_bound_cuts as u64,
+        ),
+        (
+            "refill_segments",
+            old.refill_segments as u64,
+            new.refill_segments as u64,
+        ),
+        (
+            "refill_stall_cycles",
+            old.refill_stall_cycles,
+            new.refill_stall_cycles,
+        ),
+    ];
+    for (field, was, now) in fields {
+        if was != now {
+            drifts.push(format!("{at}: {field} {was} → {now}"));
+        }
+    }
+    let kinds: BTreeSet<&String> = old.events.keys().chain(new.events.keys()).collect();
+    for kind in kinds {
+        let was = old.events.get(kind).copied().unwrap_or_default();
+        let now = new.events.get(kind).copied().unwrap_or_default();
+        for (field, a, b) in [
+            ("count", was.count, now.count),
+            ("delta", was.delta, now.delta),
+        ] {
+            if a != b {
+                drifts.push(format!("{at}: {kind} {field} {a} → {b}"));
+            }
+        }
+    }
 }

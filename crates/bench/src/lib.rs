@@ -11,22 +11,19 @@
 //! [`registry::BenchDef`] (id, workload, space, engines, anchors,
 //! report labels) paired with a per-kind measurement adapter
 //! ([`adapters`]); the `headline` binary is the one generic runner —
-//! `--list` the definitions, `--run <id-glob>` a subset, `--cmp` two
-//! artifacts rebar-style ([`cmp`]), and `--check`/`--check-all` the CI
+//! `--list` the definitions, `--run <id-glob>` a subset (printing each
+//! row's anchors and phase table), and `--check`/`--check-all` the CI
 //! benchmark-regression gate ([`gate`]): every committed report is
-//! re-run and fails when an engine's reference-normalized median *and*
-//! best-of-N wall-clock both regress beyond the tolerance, when a
-//! correctness anchor drifts, or when a committed engine configuration
-//! disappears (full rules in `crates/bench/METHODOLOGY.md`). The rows
-//! also track pruning efficacy (`candidates_pruned`,
-//! `clock_bound_cuts`) so the exploration engine's cuts can never
-//! silently rot.
+//! re-run once and fails when any field differs at all — a result
+//! anchor (feasible counts, pruning and refill counters, the selected
+//! base geometry), an event count of the work a row did, or the set of
+//! rows (full rules in `crates/bench/METHODOLOGY.md`). Nothing tracked
+//! is a timing; `perfbench/` measures time, in absolute numbers.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod adapters;
-pub mod cmp;
 pub mod gate;
 pub mod registry;
 

@@ -7,20 +7,19 @@
 //! report labels) plus a per-kind measurement adapter
 //! ([`crate::adapters`]); everything else — running a filtered subset
 //! (`headline --run`), listing definitions with their regeneration
-//! commands (`--list`), the CI regression gate (`--check` /
-//! `--check-all`), and the before/after diff (`--cmp`) — is generic
-//! over the definition. Adding a benchmark is one [`BenchDef`] entry
-//! plus its committed artifact: no new scaffold, no workflow edit — the
-//! CI gate discovers committed `BENCH_*.json` artifacts and pairs them
-//! with definitions by id ([`Registry::discover`]), failing on an
-//! artifact with no definition or a definition with no artifact.
+//! commands (`--list`), and the CI regression gate (`--check` /
+//! `--check-all`) — is generic over the definition. Adding a benchmark
+//! is one [`BenchDef`] entry plus its committed artifact: no new
+//! scaffold, no workflow edit — the CI gate discovers committed
+//! `BENCH_*.json` artifacts and pairs them with definitions by id
+//! ([`Registry::discover`]), failing on an artifact with no definition
+//! or a definition with no artifact.
 //!
-//! The measurement rules (median-AND-best-of-N reference-normalized
-//! timing, exact-drift anchors) live in [`crate::gate`] and are
+//! The gate's rule (every field exact) lives in [`crate::gate`] and is
 //! documented in `crates/bench/METHODOLOGY.md`.
 
-use crate::adapters;
-use crate::gate::{check_with, BenchArtifact, BenchReport, CheckOutcome};
+use crate::adapters::{self, Measured};
+use crate::gate::{check_with, BenchArtifact, CheckOutcome};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -44,17 +43,16 @@ pub struct BenchDef {
     pub space: &'static str,
     /// Engine configurations measured per report (row names).
     pub engines: &'static [&'static str],
-    /// Exact-drift anchors the gate enforces beyond normalized timing.
+    /// Anchors worth naming (every row also anchors its event counts,
+    /// and the gate compares every field exactly).
     pub anchors: &'static [&'static str],
     /// Tracked report labels, in artifact order. [`BenchDef::run_all`]
     /// measures exactly these; the gate replays whatever labels the
     /// committed artifact recorded.
     pub labels: &'static [&'static str],
-    /// Sample count the committed artifact is regenerated with.
-    pub default_samples: u32,
-    /// The per-kind adapter: measures one report label at a sample
-    /// count, `None` for a label this benchmark does not know.
-    pub measure: fn(&str, u32) -> Option<BenchReport>,
+    /// The per-kind adapter: measures one report label, `None` for a
+    /// label this benchmark does not know.
+    pub measure: fn(&str) -> Option<Measured>,
 }
 
 impl BenchDef {
@@ -63,36 +61,31 @@ impl BenchDef {
     /// registry emits it, docs and CI quote it).
     pub fn regen_command(&self) -> String {
         format!(
-            "cargo run --release -p rsp-bench --bin headline -- --run {} --samples {} --json {}",
-            self.id, self.default_samples, self.artifact
+            "cargo run --release -p rsp-bench --bin headline -- --run {} --json {}",
+            self.id, self.artifact
         )
     }
 
-    /// Measures every tracked label and assembles the artifact.
+    /// Measures every tracked label, in artifact order.
     ///
     /// # Panics
     ///
     /// Panics if a tracked label's adapter refuses it (a registry
     /// definition bug, caught by the registry tests).
-    pub fn run_all(&self, samples: u32) -> BenchArtifact {
-        BenchArtifact {
-            benchmark: self.id.into(),
-            reports: self
-                .labels
-                .iter()
-                .map(|label| (self.measure)(label, samples).expect("tracked label measures"))
-                .collect(),
-        }
+    pub fn run_all(&self) -> Vec<Measured> {
+        self.labels
+            .iter()
+            .map(|label| (self.measure)(label).expect("tracked label measures"))
+            .collect()
     }
 
     /// The benchmark-regression gate: replays every committed report's
-    /// label at its recorded sample count through this definition's
-    /// adapter and [`crate::gate::check_with`] — the normalized
-    /// median-AND-best-of-N timing rule plus the exact-drift anchors
+    /// label through this definition's adapter and
+    /// [`crate::gate::check_with`], which compares every field exactly
     /// (see `crates/bench/METHODOLOGY.md`).
-    pub fn check(&self, committed: &BenchArtifact, tolerance: f64) -> CheckOutcome {
-        check_with(committed, tolerance, |old| {
-            (self.measure)(&old.space, old.samples)
+    pub fn check(&self, committed: &BenchArtifact) -> CheckOutcome {
+        check_with(committed, |old| {
+            (self.measure)(&old.space).map(|m| m.report)
         })
     }
 }
@@ -310,9 +303,8 @@ fn builtin_defs() -> Vec<BenchDef> {
             workload: "paper kernel suite (9 kernels), uniform weights, 8x8 base",
             space: "extended (48 candidates) + deep (480 candidates)",
             engines: &["serial-reference", "engine-1-thread", "engine-parallel"],
-            anchors: &["feasible"],
+            anchors: &["feasible", "candidates_pruned", "explore/prune"],
             labels: &["extended", "deep"],
-            default_samples: 21,
             measure: adapters::explore::measure,
         },
         BenchDef {
@@ -329,7 +321,6 @@ fn builtin_defs() -> Vec<BenchDef> {
                 "parallel frontier bit-identical to the one-thread frontier (asserted while measuring)",
             ],
             labels: &["deep100"],
-            default_samples: 21,
             measure: adapters::deep100::measure,
         },
         BenchDef {
@@ -344,9 +335,10 @@ fn builtin_defs() -> Vec<BenchDef> {
                 "selected_pe_count",
                 "refill_segments",
                 "refill_stall_cycles",
+                "flow/rearrange",
+                "rearrange/schedule",
             ],
             labels: &["flow-paper", "flow-deep"],
-            default_samples: 21,
             measure: adapters::flow::measure,
         },
         BenchDef {
@@ -361,9 +353,9 @@ fn builtin_defs() -> Vec<BenchDef> {
                 "selected_pe_count=64",
                 "refill_segments>0",
                 "refill_stall_cycles>0",
+                "rearrange/schedule",
             ],
             labels: &["flow-workload"],
-            default_samples: 21,
             measure: adapters::workload::measure,
         },
         BenchDef {
@@ -383,14 +375,13 @@ fn builtin_defs() -> Vec<BenchDef> {
             ],
             anchors: &["feasible (exact truncation/fault/resume counts)"],
             labels: &["soak-deep"],
-            default_samples: 21,
             measure: adapters::soak::measure,
         },
         BenchDef {
             id: "rsp/serve",
             artifact: "BENCH_serve.json",
             title: "flow requests through the rsp-serve wire path, warm vs cold",
-            workload: "video app (fdct+sad+inner_product), 4 flow requests per sample",
+            workload: "video app (fdct+sad+inner_product), 4 flow requests per row",
             space: "serve-flows (paper space, 12 candidates, 8x8 base)",
             engines: &[
                 "serial-reference",
@@ -401,11 +392,12 @@ fn builtin_defs() -> Vec<BenchDef> {
             anchors: &[
                 "feasible",
                 "selected_pe_count=64",
+                "rearrange/schedule",
+                "serve/request",
                 "replies byte-identical to the in-process engine (asserted while measuring)",
                 "warm rows add zero synthesis-cache misses (asserted while measuring)",
             ],
             labels: &["serve-flows"],
-            default_samples: 11,
             measure: adapters::serve::measure,
         },
     ]
@@ -599,79 +591,5 @@ mod tests {
         );
 
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn generic_check_matches_the_shared_gate_rules() {
-        let def = registry().find("rsp/explore").unwrap();
-        // A cheap fixture: the 12-candidate paper space.
-        let mut artifact = BenchArtifact {
-            benchmark: "rsp/explore".into(),
-            reports: vec![crate::adapters::explore::measure("paper", 2).unwrap()],
-        };
-        // Generous tolerance: the second run happens moments later on the
-        // same host, so a 10x envelope only fails on real breakage.
-        let outcome = def.check(&artifact, 9.0);
-        assert!(outcome.passed(), "regressions: {:?}", outcome.regressions);
-        // The fresh rerun rides along for --emit.
-        assert_eq!(outcome.fresh.benchmark, "rsp/explore");
-        assert_eq!(outcome.fresh.reports.len(), 1);
-
-        // A fabricated 'the committed engines were 1000x faster relative
-        // to the reference' artifact must trip the gate (both normalized
-        // statistics regress). Scaling every row equally would cancel in
-        // the reference-normalized ratios, so only engine rows shrink.
-        for row in &mut artifact.reports[0].engines {
-            if row.name != "serial-reference" {
-                row.median_ns = 1.max(row.median_ns / 1000);
-                row.min_ns = 1.max(row.min_ns / 1000);
-            }
-        }
-        let outcome = def.check(&artifact, 0.15);
-        assert!(!outcome.passed());
-
-        // An artifact recorded on a host with a different core count
-        // must not timing-gate the parallel rows (their ratio to the
-        // serial reference legitimately scales with cores) — even when
-        // those committed ratios look 1000x better than this host's.
-        let mut cross_host = BenchArtifact {
-            benchmark: "rsp/explore".into(),
-            reports: vec![crate::adapters::explore::measure("paper", 1).unwrap()],
-        };
-        cross_host.reports[0].threads += 7;
-        let single_threaded = ["serial-reference", "engine-1-thread"];
-        for row in &mut cross_host.reports[0].engines {
-            if !single_threaded.contains(&row.name.as_str()) {
-                row.median_ns = 1.max(row.median_ns / 1000);
-                row.min_ns = 1.max(row.min_ns / 1000);
-            }
-        }
-        let outcome = def.check(&cross_host, 9.0);
-        assert!(
-            outcome.passed(),
-            "parallel rows must not be timing-gated across core counts: {:?}",
-            outcome.regressions
-        );
-
-        // A feasible-count drift must trip it regardless of timing, and
-        // an unknown committed label must be refused.
-        let mut drifted = BenchArtifact {
-            benchmark: "rsp/explore".into(),
-            reports: vec![crate::adapters::explore::measure("paper", 1).unwrap()],
-        };
-        for row in &mut drifted.reports[0].engines {
-            row.median_ns *= 1000;
-            row.feasible += 1;
-        }
-        let outcome = def.check(&drifted, 9.0);
-        assert!(!outcome.passed());
-
-        let mut unknown = BenchArtifact {
-            benchmark: "rsp/explore".into(),
-            reports: vec![],
-        };
-        unknown.reports = drifted.reports;
-        unknown.reports[0].space = "imaginary".into();
-        assert!(!def.check(&unknown, 9.0).passed());
     }
 }

@@ -1,12 +1,12 @@
 //! CLI contract for the `headline` binary: the registry subcommands
-//! (`--list`, `--run`, `--check`, `--check-all`, `--cmp`) behave as
-//! documented, malformed / truncated / schema-drifted JSON inputs fail
-//! with a one-line diagnostic naming the file (and, for schema drift,
-//! the field) and a non-zero exit — never a panic backtrace — and the
+//! (`--list`, `--run`, `--check`, `--check-all`) behave as documented,
+//! malformed / truncated / schema-drifted JSON inputs fail with a
+//! one-line diagnostic naming the file (and, for schema drift, the
+//! field) and a non-zero exit — never a panic backtrace — and the
 //! anytime demo checkpoints and resumes end to end.
 //!
-//! Measurement-bearing assertions use fabricated artifacts over the
-//! cheap 12-candidate `paper` space (or schema-valid empty-`reports`
+//! Measurement-bearing assertions use artifacts over the cheap
+//! 12-candidate `paper` space (or schema-valid empty-`reports`
 //! artifacts, which gate vacuously) so the suite stays fast; the
 //! committed artifacts themselves are gated by CI's release-mode
 //! `--check-all`.
@@ -63,7 +63,7 @@ fn list_prints_definitions_and_filters_by_glob() {
     }
     // The listing is the regeneration table: one checked command per id.
     assert!(
-        stdout.contains("--run rsp/explore --samples 21 --json BENCH_explore.json"),
+        stdout.contains("--run rsp/explore --json BENCH_explore.json"),
         "{stdout}"
     );
 
@@ -205,7 +205,9 @@ fn check_all_matches_the_per_artifact_gate_verdict() {
     // replays reports, so empty ones check vacuously and the explore one
     // proves --check-all measures through the same path as --check.
     let dir = tmpdir("check-all-pass");
-    let report = rsp_bench::adapters::explore::measure("paper", 1).unwrap();
+    let report = rsp_bench::adapters::explore::measure("paper")
+        .unwrap()
+        .report;
     let artifact = rsp_bench::gate::BenchArtifact {
         benchmark: "rsp/explore".into(),
         reports: vec![report],
@@ -221,17 +223,17 @@ fn check_all_matches_the_per_artifact_gate_verdict() {
     write_artifact(&dir, "BENCH_soak.json", "rsp/soak", "[]");
     write_artifact(&dir, "BENCH_serve.json", "rsp/serve", "[]");
 
-    // Old-style two-step verdict: per-artifact --check invocations.
+    // Per-artifact verdict.
     let per_artifact = headline()
-        .args(["--check", "BENCH_explore.json", "--tolerance", "9"])
+        .args(["--check", "BENCH_explore.json"])
         .current_dir(&dir)
         .output()
         .unwrap();
     assert!(per_artifact.status.success(), "{per_artifact:?}");
 
-    // Self-discovering verdict, with --emit riding along.
+    // Self-discovering verdict.
     let out = headline()
-        .args(["--check-all", "--tolerance", "9", "--emit", "regen"])
+        .arg("--check-all")
         .current_dir(&dir)
         .output()
         .unwrap();
@@ -255,107 +257,36 @@ fn check_all_matches_the_per_artifact_gate_verdict() {
         );
     }
     assert!(stdout.contains("gate PASSED"), "{stdout}");
-    // Every discovered artifact is re-emitted for diffing.
-    for name in [
-        "BENCH_explore.json",
-        "BENCH_deep100.json",
-        "BENCH_flow.json",
-        "BENCH_workload.json",
-        "BENCH_soak.json",
-        "BENCH_serve.json",
-    ] {
-        assert!(
-            dir.join("regen").join(name).is_file(),
-            "missing regen {name}"
-        );
-    }
 
-    // A drifted anchor flips both verdicts the same way: feasible counts
-    // are exact anchors, so +1 on every row fails the gate even at the
-    // huge tolerance.
+    // A drifted anchor flips both verdicts the same way, and each names
+    // the field committed → now.
     let mut drifted = artifact.clone();
-    for row in &mut drifted.reports[0].engines {
-        row.feasible += 1;
-    }
+    let feasible = drifted.reports[0].engines[0].feasible;
+    drifted.reports[0].engines[0].feasible += 1;
     std::fs::write(
         dir.join("BENCH_explore.json"),
         serde_json::to_string_pretty(&drifted).unwrap(),
     )
     .unwrap();
     let per_artifact = headline()
-        .args(["--check", "BENCH_explore.json", "--tolerance", "9"])
+        .args(["--check", "BENCH_explore.json"])
         .current_dir(&dir)
         .output()
         .unwrap();
     let all = headline()
-        .args(["--check-all", "--tolerance", "9"])
+        .arg("--check-all")
         .current_dir(&dir)
         .output()
         .unwrap();
+    let drift = format!(
+        "paper/serial-reference: feasible {} → {feasible}",
+        feasible + 1
+    );
     for out in [per_artifact, all] {
         let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-        assert_fails_cleanly(out, "feasible count drifted");
+        assert_fails_cleanly(out, &drift);
         assert!(stderr.contains("gate FAILED"), "{stderr}");
     }
-}
-
-#[test]
-fn cmp_renders_a_diff_and_only_fails_on_unreadable_inputs() {
-    let dir = tmpdir("cmp");
-    let mk = |median: u64, feasible: usize| {
-        format!(
-            "{{\"benchmark\": \"rsp/explore\", \"reports\": [{{\
-               \"space\": \"extended\", \"candidates\": 48, \"kernels\": 9, \"threads\": 1, \
-               \"samples\": 5, \"selected_pe_count\": 0, \"engines\": [\
-                 {{\"name\": \"serial-reference\", \"median_ns\": 1000000, \"min_ns\": 900000, \
-                   \"samples\": 5, \"speedup_vs_reference\": 1.0, \"feasible\": 30, \
-                   \"candidates_seen\": 48, \"candidates_pruned\": 0, \"clock_bound_cuts\": 0, \
-                   \"refill_segments\": 0, \"refill_stall_cycles\": 0}}, \
-                 {{\"name\": \"engine-1-thread\", \"median_ns\": {median}, \"min_ns\": {median}, \
-                   \"samples\": 5, \"speedup_vs_reference\": 1.0, \"feasible\": {feasible}, \
-                   \"candidates_seen\": 48, \"candidates_pruned\": 0, \"clock_bound_cuts\": 0, \
-                   \"refill_segments\": 0, \"refill_stall_cycles\": 0}}]}}]}}"
-        )
-    };
-    let before = dir.join("before.json");
-    let after = dir.join("after.json");
-    std::fs::write(&before, mk(500_000, 30)).unwrap();
-    std::fs::write(&after, mk(2_000_000, 30)).unwrap();
-
-    // A 4x slowdown renders as regressed — but --cmp is a reporter, not
-    // a gate: exit 0.
-    let out = headline()
-        .args(["--cmp", before.to_str().unwrap(), after.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "{out:?}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("### rsp/explore"), "{stdout}");
-    assert!(stdout.contains("**regressed**"), "{stdout}");
-    assert!(stdout.contains("| engine | before x-ref |"), "{stdout}");
-
-    // Anchor drift is flagged by name.
-    std::fs::write(&after, mk(500_000, 29)).unwrap();
-    let out = headline()
-        .args(["--cmp", before.to_str().unwrap(), after.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "{out:?}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("anchor-drift"), "{stdout}");
-    assert!(stdout.contains("feasible 30 -> 29"), "{stdout}");
-
-    // Unreadable inputs fail cleanly; so does one path missing.
-    let out = headline()
-        .args(["--cmp", "/nonexistent/a.json", "/nonexistent/b.json"])
-        .output()
-        .unwrap();
-    assert_fails_cleanly(out, "cannot read artifact");
-    let out = headline()
-        .args(["--cmp", before.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert_fails_cleanly(out, "--cmp needs two paths");
 }
 
 #[test]
@@ -402,7 +333,7 @@ fn anytime_demo_checkpoints_and_resumes_to_completion() {
 fn exclusive_modes_are_rejected() {
     for args in [
         vec!["--list", "--run", "rsp/*"],
-        vec!["--check-all", "--cmp", "a", "b"],
+        vec!["--check-all", "--deadline-ms", "0"],
         vec!["--run", "rsp/*", "--deadline-ms", "0"],
         vec!["--list", "--check", "x.json"],
     ] {
@@ -410,23 +341,11 @@ fn exclusive_modes_are_rejected() {
         assert_fails_cleanly(out, "exclusive modes");
     }
     // Flag/mode mismatches fail before any measurement.
-    let out = headline()
-        .args(["--check-all", "--samples", "3"])
-        .output()
-        .unwrap();
-    assert_fails_cleanly(out, "--check/--check-all are exclusive");
-    let out = headline().args(["--tolerance", "0.2"]).output().unwrap();
-    assert_fails_cleanly(out, "--tolerance/--emit only apply");
     let out = headline().args(["--json", "x.json"]).output().unwrap();
-    assert_fails_cleanly(out, "--json/--samples only apply to --run");
+    assert_fails_cleanly(out, "--json only applies to --run");
     let out = headline()
-        .args(["--cmp", "a", "b", "--emit", "d"])
+        .args(["--check-all", "--json", "x.json"])
         .output()
         .unwrap();
-    assert_fails_cleanly(out, "--cmp only takes --tolerance");
-    let out = headline()
-        .args(["--deadline-ms", "0", "--samples", "2"])
-        .output()
-        .unwrap();
-    assert_fails_cleanly(out, "anytime demo");
+    assert_fails_cleanly(out, "--json only applies to --run");
 }

@@ -18,7 +18,9 @@ pub enum RspError {
     NoFeasibleDesign,
     /// A kernel failed to map onto the base architecture.
     Map(rsp_mapper::MapError),
-    /// The application profile is empty.
+    /// Profiling selected no critical loop: the applications list no
+    /// kernel, none of their kernels executes any operation, or the
+    /// flow's coverage is not positive.
     EmptyProfile,
     /// The rearranged schedule exceeds the configuration cache *and*
     /// cannot be split: some cache-sized window contains no legal cut
@@ -70,7 +72,10 @@ impl fmt::Display for RspError {
                 )
             }
             RspError::Map(e) => write!(f, "mapping failed: {e}"),
-            RspError::EmptyProfile => write!(f, "application profile contains no kernels"),
+            RspError::EmptyProfile => write!(
+                f,
+                "profiling selected no critical loop (no kernel is executed, or coverage is not positive)"
+            ),
             RspError::UnsplittableSchedule {
                 start_cycle,
                 cache_depth,

@@ -13,9 +13,10 @@
 //! [`explore_with`] is a parallel, allocation-free engine; [`explore`] is
 //! a thin compatibility wrapper over it, and [`explore_reference`] keeps
 //! the original textbook serial implementation as the oracle the engine
-//! is property-tested against (and the baseline the tracked
-//! `BENCH_explore.json` measures speedups from). The engine differs from
-//! the reference in *mechanics only* — its results are bit-identical:
+//! is property-tested against (and the `serial-reference` row of the
+//! tracked `BENCH_explore.json`, whose result anchors the engine rows
+//! must match). The engine differs from the reference in *mechanics
+//! only* — its results are bit-identical:
 //!
 //! * **Shared base, no deep clones** — candidates hold the base array
 //!   behind one `Arc` ([`rsp_arch::RspArchitecture::base_arc`]) instead

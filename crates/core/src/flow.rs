@@ -26,8 +26,10 @@
 //!
 //! Profiling is modelled on synthetic application profiles: each
 //! application lists its kernels with execution counts; a kernel's weight
-//! is `count × operations`, and the flow keeps the hottest kernels until
-//! the requested coverage of total weight is reached.
+//! is `count × operations` (equal kernels listed by several applications
+//! add up; distinct kernels stay distinct loops even when they share a
+//! name), and the flow keeps the hottest kernels until the requested
+//! coverage of total weight is reached.
 //!
 //! # The exact stage
 //!
@@ -316,10 +318,10 @@ fn select_base(
         }
         // Maps every geometry: the vendored rayon subset has no
         // `find_first`, so the tail cannot be cancelled once an
-        // earlier-indexed geometry succeeds. On a 1-CPU host this makes
-        // the fan-out a measured net cost when the smallest geometry is
-        // feasible (see BENCH_flow.json's flow-paper report); switch to
-        // `find_first` if the real rayon ever backs the stub.
+        // earlier-indexed geometry succeeds, and when the smallest
+        // geometry is feasible the fan-out maps geometries the serial
+        // oracle never attempts (`FlowStats::geometries_explored`);
+        // switch to `find_first` if the real rayon ever backs the stub.
         let attempted = geometries.len();
         let candidates: Vec<Option<(BaseArchitecture, Vec<ConfigContext>)>> = pool.install(|| {
             geometries
@@ -340,7 +342,10 @@ fn select_base(
 ///
 /// # Errors
 ///
-/// * [`RspError::EmptyProfile`] when no application lists a kernel.
+/// * [`RspError::EmptyProfile`] when profiling selects no critical loop:
+///   no application lists a kernel, none of the listed kernels executes
+///   any operation (every execution count is 0), or
+///   [`FlowConfig::coverage`] is not positive.
 /// * Mapping, exploration, and rearrangement errors are propagated; when
 ///   every estimation Pareto candidate fails exact rearrangement, the
 ///   first failure (in ascending-area order) is returned.
@@ -375,15 +380,12 @@ pub fn run_flow(apps: &[AppProfile], config: &FlowConfig) -> Result<FlowReport, 
     for app in apps {
         for (k, count) in &app.kernels {
             let w = *count as f64 * k.total_ops() as f64;
-            if let Some(existing) = weights.iter_mut().find(|(e, _)| e.name() == k.name()) {
+            if let Some(existing) = weights.iter_mut().find(|(e, _)| e == k) {
                 existing.1 += w;
             } else {
                 weights.push((k.clone(), w));
             }
         }
-    }
-    if weights.is_empty() {
-        return Err(RspError::EmptyProfile);
     }
     weights.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
     let total: f64 = weights.iter().map(|(_, w)| w).sum();
@@ -400,6 +402,9 @@ pub fn run_flow(apps: &[AppProfile], config: &FlowConfig) -> Result<FlowReport, 
         });
     }
     drop(profile_span);
+    if critical_loops.is_empty() {
+        return Err(RspError::EmptyProfile);
+    }
 
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(config.parallelism.unwrap_or(0))
@@ -714,8 +719,38 @@ mod tests {
     }
 
     #[test]
+    fn distinct_kernels_sharing_a_name_stay_distinct_loops() {
+        // A 4×4 matmul whose DFG carries FDCT's name is another kernel:
+        // it becomes its own critical loop instead of lending FDCT its
+        // weight.
+        let json = serde_json::to_string(&suite::matmul(4)).unwrap();
+        let impostor: Kernel =
+            serde_json::from_str(&json.replacen("\"MatMul\"", "\"2D-FDCT\"", 1)).unwrap();
+        assert_eq!(impostor.name(), suite::fdct().name());
+        let apps = vec![AppProfile::new(
+            "a",
+            vec![(suite::fdct(), 10), (impostor.clone(), 1000)],
+        )];
+        let cfg = FlowConfig {
+            coverage: 1.0,
+            ..FlowConfig::default()
+        };
+        let report = run_flow(&apps, &cfg).unwrap();
+        assert_eq!(report.critical_loops.len(), 2);
+        assert_eq!(report.critical_loops[0].kernel, impostor, "heaviest first");
+        assert_eq!(report.critical_loops[1].kernel, suite::fdct());
+    }
+
+    #[test]
     fn empty_profile_rejected() {
         let err = run_flow(&[], &FlowConfig::default()).unwrap_err();
+        assert_eq!(err, RspError::EmptyProfile);
+        // Listed but never executed: nothing to weigh, so no loop.
+        let idle = vec![AppProfile::new(
+            "idle",
+            vec![(suite::fdct(), 0), (suite::sad(), 0)],
+        )];
+        let err = run_flow(&idle, &FlowConfig::default()).unwrap_err();
         assert_eq!(err, RspError::EmptyProfile);
     }
 

@@ -36,12 +36,20 @@
 //! untouched — which keeps `base_cycles` an admissible floor on the
 //! elapsed cycles (`elapsed ≥ total ≥ base`), exactly the invariant the
 //! flow's pruning cuts rest on.
+//!
+//! # Observability
+//!
+//! Each scheduler pass reports one `rearrange/schedule` span to the
+//! process-global recorder ([`rsp_obs::global`], read once per call:
+//! [`rearrange`] takes no recorder), so every [`rearrange`] call records
+//! exactly two spans and redundant scheduling work shows up as a count.
 
 use crate::error::RspError;
 #[cfg(test)]
 use rsp_arch::OpKind;
 use rsp_arch::{RspArchitecture, SharedResourceId};
 use rsp_mapper::{split_schedule, ConfigContext, InstanceId, RefillPlan, SplitError};
+use rsp_obs::{Recorder, Span};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -151,14 +159,15 @@ pub fn rearrange(
     arch: &RspArchitecture,
     opts: &RearrangeOptions,
 ) -> Result<Rearranged, RspError> {
+    let obs = rsp_obs::global();
     let base_cycles = ctx.total_cycles();
 
     // Pass 1: latencies only (unlimited resources) -> RP overhead.
-    let (rp_sched, _) = schedule(ctx, arch, opts, false)?;
+    let (rp_sched, _) = schedule(ctx, arch, opts, false, &*obs)?;
     let rp_total = total(&rp_sched);
 
     // Pass 2: latencies + sharing constraints -> full RSP schedule.
-    let (cycles, bindings) = schedule(ctx, arch, opts, true)?;
+    let (cycles, bindings) = schedule(ctx, arch, opts, true, &*obs)?;
     let total_cycles = total(&cycles);
 
     let available = arch.base().config_cache_depth() as u32;
@@ -195,13 +204,17 @@ fn total(cycles: &[u32]) -> u32 {
 }
 
 /// Core list scheduler. When `enforce_sharing` is false, shared resources
-/// are treated as unlimited (used to isolate the RP contribution).
+/// are treated as unlimited (used to isolate the RP contribution). Each
+/// call is one `rearrange/schedule` span on `obs` (id 0: latency-only
+/// pass, 1: sharing pass).
 fn schedule(
     ctx: &ConfigContext,
     arch: &RspArchitecture,
     opts: &RearrangeOptions,
     enforce_sharing: bool,
+    obs: &dyn Recorder,
 ) -> Result<(Vec<u32>, Vec<Option<SharedResourceId>>), RspError> {
+    let _span = Span::enter(obs, "rearrange", "schedule", u64::from(enforce_sharing));
     let n = ctx.instances().len();
     let geom = ctx.geometry();
     let mut sched = vec![u32::MAX; n];

@@ -35,7 +35,10 @@
 //! `FlowConfig`, `SessionBuilder`, `ServeConfig` all carry an
 //! `Arc<dyn Recorder>`), and those default to the process-wide
 //! [`global`] recorder — [`set_global`] before building a config and
-//! every subsystem reports to it. That is how `headline --profile` and
+//! every subsystem reports to it. `rsp_core::rearrange`, which takes no
+//! options of its own, reads the global on every call. That is how the
+//! `headline` benchmark runner (one fresh `RingRecorder` per row, whose
+//! event counts are the row's exact work anchors) and
 //! `rsp-serve --log-json` observe code that never heard of them.
 //!
 //! # Example

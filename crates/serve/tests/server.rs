@@ -210,6 +210,28 @@ fn serves_map_and_flow_and_survives_panicking_requests() {
 }
 
 #[test]
+fn a_flow_over_no_executed_work_answers_an_error() {
+    let server = Server::spawn(ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let reply = client
+        .call(Request::Flow(FlowRequest {
+            apps: vec![WorkloadApp {
+                name: "idle".into(),
+                kernels: vec![(dfg(&suite::fdct()), 0), (dfg(&suite::sad()), 0)],
+            }],
+            geometries: None,
+            space: SpaceSpec::Paper,
+            limits: Limits::none(),
+        }))
+        .unwrap();
+    match reply {
+        Response::Error(msg) => assert_eq!(msg, rsp_core::RspError::EmptyProfile.to_string()),
+        other => panic!("expected Error, got {other:?}"),
+    }
+    server.shutdown();
+}
+
+#[test]
 fn served_flow_matches_in_process_session_flow() {
     let apps = vec![rsp_core::AppProfile::new(
         "video",

@@ -28,8 +28,9 @@ pub struct ModelCache {
     #[allow(clippy::type_complexity)]
     memo: Mutex<HashMap<(ArrayGeometry, SharingPlan), (AreaReport, DelayReport)>>,
     /// Area-only memo for the fast path ([`ModelCache::area_report`]):
-    /// candidate-ordering passes need every plan's area before any plan's
-    /// delay, and must not pay for delay synthesis to get it.
+    /// the exploration engine reads a candidate's area before deciding
+    /// whether its delay is worth synthesizing, so a candidate cut on the
+    /// cost bound or the clock floor never pays for delay synthesis.
     area_memo: Mutex<HashMap<(ArrayGeometry, SharingPlan), AreaReport>>,
     /// Memo hits across [`ModelCache::reports`] and
     /// [`ModelCache::area_report`] — the observable proof that sharing
