@@ -1,6 +1,7 @@
 //! Error type for the RSP core passes.
 
 use crate::control::TruncationReason;
+use rsp_mapper::ScheduleViolation;
 use std::error::Error;
 use std::fmt;
 
@@ -14,13 +15,22 @@ pub enum RspError {
         /// Cycle bound that was hit.
         bound: u32,
     },
+    /// The context breaks an input rule of exact rearrangement:
+    /// [`ScheduleViolation::DependenceViolated`] names a producer whose
+    /// base cycle does not come before its consumer's, and
+    /// [`ScheduleViolation::PeOutsideArray`] an instance outside the
+    /// context's array. [`rsp_mapper::map`] never builds such a context;
+    /// a deserialized or edited one can be.
+    InvalidContext(ScheduleViolation),
     /// The design space produced no point satisfying the constraints.
     NoFeasibleDesign,
     /// A kernel failed to map onto the base architecture.
     Map(rsp_mapper::MapError),
-    /// Profiling selected no critical loop: the applications list no
-    /// kernel, none of their kernels executes any operation, or the
-    /// flow's coverage is not positive.
+    /// There is no executed work to weigh designs by. A flow's profiling
+    /// selected no critical loop: the applications list no kernel, none
+    /// of their kernels executes any operation, or the flow's coverage
+    /// is not positive. Or an exploration got no kernels, or weights
+    /// that leave its base execution time not positive (every weight 0).
     EmptyProfile,
     /// The rearranged schedule exceeds the configuration cache *and*
     /// cannot be split: some cache-sized window contains no legal cut
@@ -65,6 +75,7 @@ impl fmt::Display for RspError {
                     "rearrangement exceeded the safety bound of {bound} cycles"
                 )
             }
+            RspError::InvalidContext(v) => write!(f, "context cannot be rearranged: {v}"),
             RspError::NoFeasibleDesign => {
                 write!(
                     f,
@@ -74,7 +85,8 @@ impl fmt::Display for RspError {
             RspError::Map(e) => write!(f, "mapping failed: {e}"),
             RspError::EmptyProfile => write!(
                 f,
-                "profiling selected no critical loop (no kernel is executed, or coverage is not positive)"
+                "no executed work to weigh designs by (profiling selected no critical loop, \
+                 or the kernels' weighted base execution time is not positive)"
             ),
             RspError::UnsplittableSchedule {
                 start_cycle,
@@ -104,6 +116,7 @@ impl Error for RspError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             RspError::Map(e) => Some(e),
+            RspError::InvalidContext(v) => Some(v),
             _ => None,
         }
     }

@@ -551,6 +551,8 @@ impl ExploreCheckpoint {
 ///
 /// # Errors
 ///
+/// [`RspError::EmptyProfile`] when there are no kernels or their weighted
+/// base execution time is not positive (every weight 0).
 /// [`RspError::NoFeasibleDesign`] when every candidate violates the
 /// constraints.
 ///
@@ -637,6 +639,8 @@ enum Outcome {
 ///
 /// # Errors
 ///
+/// [`RspError::EmptyProfile`] when there are no kernels or their weighted
+/// base execution time is not positive (every weight 0).
 /// [`RspError::NoFeasibleDesign`] when every candidate violates the
 /// constraints.
 ///
@@ -694,6 +698,8 @@ pub fn explore_with(
 /// the bit-exact base execution time).
 /// [`RspError::NoFeasibleDesign`] when the completed run has no feasible
 /// candidate.
+/// [`RspError::EmptyProfile`] when there are no kernels or their weighted
+/// base execution time is not positive (every weight 0).
 #[allow(clippy::too_many_arguments)]
 pub fn explore_resume(
     base: &BaseArchitecture,
@@ -743,6 +749,7 @@ fn explore_engine(
         .zip(weights)
         .map(|(c, w)| w * c.total_cycles() as f64 * base_clock)
         .sum();
+    require_work(base_et)?;
     let et_bound = constraints.max_slowdown * base_et;
 
     let candidates_total = space.plans().count();
@@ -1023,6 +1030,8 @@ fn validate_checkpoint(
 ///
 /// # Errors
 ///
+/// [`RspError::EmptyProfile`] when there are no kernels or their weighted
+/// base execution time is not positive (every weight 0).
 /// [`RspError::NoFeasibleDesign`] when every candidate violates the
 /// constraints.
 #[allow(clippy::too_many_arguments)]
@@ -1056,6 +1065,8 @@ pub fn explore_reference(
 ///
 /// # Errors
 ///
+/// [`RspError::EmptyProfile`] when there are no kernels or their weighted
+/// base execution time is not positive (every weight 0).
 /// [`RspError::NoFeasibleDesign`] when a *complete* run has no feasible
 /// candidate (a truncated run returns an empty anytime result instead).
 #[allow(clippy::too_many_arguments)]
@@ -1082,6 +1093,7 @@ pub fn explore_reference_with(
         .zip(weights)
         .map(|(c, w)| w * c.total_cycles() as f64 * base_clock)
         .sum();
+    require_work(base_et)?;
 
     let candidates_total = space.plans().count();
     let clock = ControlClock::new(control);
@@ -1162,6 +1174,17 @@ pub fn explore_reference_with(
     })
 }
 
+/// [`RspError::EmptyProfile`] unless the weighted base execution time is
+/// positive: with no kernels, or only zero-weight ones, every design
+/// ties at zero time and a pick would mean nothing.
+fn require_work(base_et: f64) -> Result<(), RspError> {
+    if base_et > 0.0 {
+        Ok(())
+    } else {
+        Err(RspError::EmptyProfile)
+    }
+}
+
 fn plan_name(plan: &SharingPlan) -> String {
     fn group_name(g: &SharedGroup) -> String {
         let tag = if g.is_pipelined() { "RSP" } else { "RS" };
@@ -1228,6 +1251,44 @@ mod tests {
             .collect();
         let weights = vec![1.0; kernels.len()];
         (base, kernels, contexts, weights)
+    }
+
+    #[test]
+    fn an_exploration_over_no_work_is_an_error() {
+        let (base, kernels, contexts, weights) = setup();
+        let space = DesignSpace::paper();
+        let options = ExploreOptions::default();
+        let checkpoint = explore_with(&base, &kernels, &contexts, &weights, &space, &options)
+            .unwrap()
+            .checkpoint();
+        let zero = vec![0.0; kernels.len()];
+        for (kernels, contexts, weights) in [
+            (&[][..], &[][..], &[][..]),
+            (&kernels[..], &contexts[..], &zero[..]),
+        ] {
+            let engine = explore_with(&base, kernels, contexts, weights, &space, &options);
+            assert_eq!(engine.unwrap_err(), RspError::EmptyProfile);
+            let resumed = explore_resume(
+                &base,
+                kernels,
+                contexts,
+                weights,
+                &space,
+                &options,
+                &checkpoint,
+            );
+            assert_eq!(resumed.unwrap_err(), RspError::EmptyProfile);
+            let reference = explore_reference(
+                &base,
+                kernels,
+                contexts,
+                weights,
+                &space,
+                &options.constraints,
+                options.objective,
+            );
+            assert_eq!(reference.unwrap_err(), RspError::EmptyProfile);
+        }
     }
 
     #[test]

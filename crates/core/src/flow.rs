@@ -98,8 +98,6 @@ pub struct FlowConfig {
     pub objective: Objective,
     /// Mapper options.
     pub map_options: MapOptions,
-    /// Rearrangement options.
-    pub rearrange_options: RearrangeOptions,
     /// Worker threads for geometry exploration, RSP exploration, and
     /// exact RSP mapping (`None` = all cores; `Some(1)` runs the serial
     /// oracle paths; results are identical either way).
@@ -140,7 +138,6 @@ impl Default for FlowConfig {
             constraints: Constraints::default(),
             objective: Objective::AreaDelayProduct,
             map_options: MapOptions::default(),
-            rearrange_options: RearrangeOptions::default(),
             parallelism: None,
             cache: None,
             profiles: None,
@@ -517,7 +514,7 @@ pub fn run_flow(apps: &[AppProfile], config: &FlowConfig) -> Result<FlowReport, 
                     // catch_unwind *inside* the worker closure: the
                     // vendored rayon would abort on an escaped panic.
                     catch_unwind(AssertUnwindSafe(|| {
-                        let r = rearrange(ctx, &point.arch, &config.rearrange_options)?;
+                        let r = rearrange(ctx, &point.arch, &RearrangeOptions::default())?;
                         let p = perf_from_rearranged_with(ctx, &point.arch, &delay_report, &r);
                         Ok((r, p))
                     }))

@@ -16,11 +16,57 @@
 //!    (the paper's "overlapped cycles are removed" rule and the mechanism
 //!    behind Fig. 6 needing four multipliers where Fig. 2 needs eight).
 //!
-//! The engine is a resource-constrained list scheduler over the instance
+//! The result is a resource-constrained list schedule over the instance
 //! graph with three invariants: no instance issues before its base-schedule
 //! cycle (rearrangement only delays), each PE issues its instances in
 //! base-schedule order (the configuration stream is a FIFO), and shared
 //! resources accept one issue per cycle.
+//!
+//! # The engine
+//!
+//! Each call builds dense, index-addressed state in O(n + producers):
+//! every instance's latency, PE and shared group; its *rank*, its
+//! position in loop-iteration order `(element, step, node)`; and the PE
+//! FIFOs as one CSR array, filled by a counting sort on base cycle in
+//! rank order, so each FIFO lists its instances in `(base, rank)` order.
+//! Two input rules are checked on the way, because a deserialized
+//! [`ConfigContext`] need not keep them although [`rsp_mapper::map`]
+//! always does:
+//!
+//! * every producer's base cycle comes before its consumer's — otherwise
+//!   [`RspError::InvalidContext`] names the pair;
+//! * instances are listed in rank order — otherwise they are sorted into
+//!   it, which costs O(n log n) instead of O(n).
+//!
+//! **Pass 1** (RP only, unlimited shared resources) is one sweep in
+//! `(base, rank)` order:
+//!
+//! `tᵢ = max(baseᵢ, max_pred(tₚ + latₚ), t_prevFIFO + 1)`.
+//!
+//! This is exactly the unlimited-resource list schedule. With no resource
+//! limit every ready FIFO head issues at once, and a head that is ready
+//! stays ready, so each instance issues in the first cycle that satisfies
+//! all three terms. The sweep order is topological: producers have
+//! earlier base cycles (the first input rule), and FIFO predecessors come
+//! earlier in the order. It is the longest-path arrival-time pass of
+//! static timing analysis. How far its makespan exceeds the base
+//! schedule's is [`Rearranged::rp_overhead`].
+//!
+//! **Pass 2** (RS and RP) is the list scheduler proper. Each PE caches
+//! its head's ready time. A head waiting on an unissued producer has no
+//! ready time yet and is rechecked at the next visited cycle. When no
+//! head is ready, `t` jumps straight to the earliest ready head. Local
+//! operations issue as soon as they are ready. Ready shared operations
+//! are sorted by rank and granted the first free resource their PE
+//! reaches (row bank, then column bank): the §4 loop-iteration grant
+//! order. Each shared resource keeps the cycle it last accepted an issue,
+//! which replaces a per-cycle booking table because `t` only grows.
+//!
+//! Each pass reports one `rearrange/schedule` span to the process-global
+//! recorder ([`rsp_obs::global`], read once per call: [`rearrange`]
+//! takes no recorder): id 0 covers the set-up and the sweep, id 1 the
+//! sharing pass. Every [`rearrange`] call records exactly two spans, so
+//! redundant scheduling work shows up as a count.
 //!
 //! # Configuration-cache refill
 //!
@@ -36,30 +82,22 @@
 //! untouched — which keeps `base_cycles` an admissible floor on the
 //! elapsed cycles (`elapsed ≥ total ≥ base`), exactly the invariant the
 //! flow's pruning cuts rest on.
-//!
-//! # Observability
-//!
-//! Each scheduler pass reports one `rearrange/schedule` span to the
-//! process-global recorder ([`rsp_obs::global`], read once per call:
-//! [`rearrange`] takes no recorder), so every [`rearrange`] call records
-//! exactly two spans and redundant scheduling work shows up as a count.
 
 use crate::error::RspError;
-#[cfg(test)]
-use rsp_arch::OpKind;
-use rsp_arch::{RspArchitecture, SharedResourceId};
-use rsp_mapper::{split_schedule, ConfigContext, InstanceId, RefillPlan, SplitError};
-use rsp_obs::{Recorder, Span};
+use rsp_arch::{FuKind, OpKind, RspArchitecture, SharedResourceId};
+use rsp_mapper::{split_schedule, ConfigContext, RefillPlan, ScheduleViolation, SplitError};
+use rsp_obs::Span;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
-/// Rearrangement options.
+/// Rearrangement options. There are none left: row-bus bandwidth is
+/// allocated at mapping time ([`rsp_mapper::MapOptions::strict_buses`]),
+/// not by the scheduler.
+///
+/// The type stays only so that three-argument callers of [`rearrange`]
+/// and [`crate::evaluate_perf`] keep compiling; the benchmark package
+/// builds it. The next change to the benchmark removes it.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct RearrangeOptions {
-    /// Also enforce row-bus capacities while rescheduling (off by default,
-    /// matching the base mapper's reliance on operand reuse).
-    pub enforce_buses: bool,
-}
+pub struct RearrangeOptions {}
 
 /// The rearranged (RSP) configuration contexts for one kernel on one
 /// architecture.
@@ -129,6 +167,9 @@ impl Rearranged {
 ///
 /// # Errors
 ///
+/// * [`RspError::InvalidContext`] if an instance sits outside the
+///   context's array, or a producer's base cycle does not come before
+///   its consumer's (never for a context [`rsp_mapper::map`] built).
 /// * [`RspError::RearrangeDiverged`] on internal inconsistency (never
 ///   expected for validated inputs).
 /// * [`RspError::UnsplittableSchedule`] if the oversized schedule has no
@@ -157,27 +198,36 @@ impl Rearranged {
 pub fn rearrange(
     ctx: &ConfigContext,
     arch: &RspArchitecture,
-    opts: &RearrangeOptions,
+    _opts: &RearrangeOptions,
 ) -> Result<Rearranged, RspError> {
     let obs = rsp_obs::global();
+    let (engine, rp_total) = {
+        let _span = Span::enter(&*obs, "rearrange", "schedule", 0);
+        let engine = Engine::new(ctx, arch)?;
+        let rp_total = engine.sweep()?;
+        (engine, rp_total)
+    };
+    let (cycles, bindings) = {
+        let _span = Span::enter(&*obs, "rearrange", "schedule", 1);
+        engine.list_schedule()?
+    };
+    finish(ctx, arch, cycles, bindings, rp_total, |i| engine.lat[i])
+}
+
+/// Splits the sharing pass's schedule across the configuration cache and
+/// assembles the result.
+fn finish(
+    ctx: &ConfigContext,
+    arch: &RspArchitecture,
+    cycles: Vec<u32>,
+    bindings: Vec<Option<SharedResourceId>>,
+    rp_total: u32,
+    latency: impl Fn(usize) -> u32,
+) -> Result<Rearranged, RspError> {
     let base_cycles = ctx.total_cycles();
-
-    // Pass 1: latencies only (unlimited resources) -> RP overhead.
-    let (rp_sched, _) = schedule(ctx, arch, opts, false, &*obs)?;
-    let rp_total = total(&rp_sched);
-
-    // Pass 2: latencies + sharing constraints -> full RSP schedule.
-    let (cycles, bindings) = schedule(ctx, arch, opts, true, &*obs)?;
-    let total_cycles = total(&cycles);
-
+    let total_cycles = cycles.iter().map(|&c| c + 1).max().unwrap_or(0);
     let available = arch.base().config_cache_depth() as u32;
-    let refill = split_schedule(
-        ctx,
-        &cycles,
-        |i| u32::from(arch.op_latency(ctx.instances()[i].op)),
-        available,
-    )
-    .map_err(|e| match e {
+    let refill = split_schedule(ctx, &cycles, latency, available).map_err(|e| match e {
         SplitError::NoLegalCut {
             start_cycle,
             cache_depth,
@@ -187,7 +237,6 @@ pub fn rearrange(
         },
         other => unreachable!("schedule is parallel to the context: {other}"),
     })?;
-
     Ok(Rearranged {
         cycles,
         bindings,
@@ -199,145 +248,331 @@ pub fn rearrange(
     })
 }
 
-fn total(cycles: &[u32]) -> u32 {
-    cycles.iter().map(|&c| c + 1).max().unwrap_or(0)
+/// Issue cycle of an instance that has not issued, and ready time of a
+/// FIFO head still waiting on a producer.
+const UNSET: u32 = u32::MAX;
+
+/// Shared group of an instance that runs on a unit inside its PE.
+const LOCAL: u32 = u32::MAX;
+
+/// One shared group in the dense resource numbering, which follows
+/// [`rsp_arch::SharingPlan::resources`]: per group, every row bank and
+/// then every column bank.
+struct Banks {
+    kind: FuKind,
+    per_row: usize,
+    per_col: usize,
+    /// Dense index of row 0's first resource.
+    row_start: usize,
+    /// Dense index of column 0's first resource.
+    col_start: usize,
 }
 
-/// Core list scheduler. When `enforce_sharing` is false, shared resources
-/// are treated as unlimited (used to isolate the RP contribution). Each
-/// call is one `rearrange/schedule` span on `obs` (id 0: latency-only
-/// pass, 1: sharing pass).
-fn schedule(
-    ctx: &ConfigContext,
-    arch: &RspArchitecture,
-    opts: &RearrangeOptions,
-    enforce_sharing: bool,
-    obs: &dyn Recorder,
-) -> Result<(Vec<u32>, Vec<Option<SharedResourceId>>), RspError> {
-    let _span = Span::enter(obs, "rearrange", "schedule", u64::from(enforce_sharing));
-    let n = ctx.instances().len();
-    let geom = ctx.geometry();
-    let mut sched = vec![u32::MAX; n];
-    let mut bindings: Vec<Option<SharedResourceId>> = vec![None; n];
+/// The dense per-call state both passes read (see the module docs).
+struct Engine<'a> {
+    ctx: &'a ConfigContext,
+    /// Result latency of each instance on the architecture.
+    lat: Vec<u32>,
+    /// Row-major PE index of each instance.
+    pe: Vec<u32>,
+    /// Index into `banks` of each instance's shared group, or [`LOCAL`].
+    group: Vec<u32>,
+    banks: Vec<Banks>,
+    /// Shared resources on the array.
+    resources: usize,
+    /// Position of each instance in `(element, step, node)` order.
+    rank: Vec<u32>,
+    /// Every instance in `(base, rank)` order.
+    order: Vec<u32>,
+    /// The PE FIFOs as one CSR array: PE `p` issues
+    /// `fifo[fifo_start[p]..fifo_start[p + 1]]` in order.
+    fifo_start: Vec<u32>,
+    fifo: Vec<u32>,
+    /// No instance may issue after this cycle.
+    bound: u32,
+}
 
-    // Per-PE FIFOs in base-schedule order.
-    let mut fifos: HashMap<(usize, usize), Vec<InstanceId>> = HashMap::new();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| {
-        let inst = &ctx.instances()[i];
-        (ctx.cycles()[i], inst.element, inst.step, inst.node)
-    });
-    for i in order {
-        let inst = &ctx.instances()[i];
-        fifos
-            .entry((inst.pe.row, inst.pe.col))
-            .or_default()
-            .push(inst.id);
+/// A PE's FIFO head during pass 2.
+struct Head {
+    /// FIFO position of the head.
+    pos: u32,
+    /// First cycle the head may issue in: a PE issues once per cycle.
+    free: u32,
+    /// The head's ready time; [`UNSET`] until computed, and while it
+    /// waits on a producer.
+    ready: u32,
+}
+
+impl Head {
+    /// Moves past the head, which issued in cycle `t`.
+    fn pop(&mut self, t: u32) {
+        self.pos += 1;
+        self.free = t + 1;
+        self.ready = UNSET;
     }
-    let mut heads: HashMap<(usize, usize), usize> = fifos.keys().map(|&k| (k, 0)).collect();
+}
 
-    let latency = |i: usize| -> u32 { u32::from(arch.op_latency(ctx.instances()[i].op)) };
+impl<'a> Engine<'a> {
+    fn new(ctx: &'a ConfigContext, arch: &RspArchitecture) -> Result<Self, RspError> {
+        let insts = ctx.instances();
+        let n = insts.len();
+        let base = &ctx.cycles()[..n];
+        let geom = ctx.geometry();
+        let bound = ctx.total_cycles() * 4 + 16 * n as u32 + 64;
 
-    // Issue slots of shared resources, per cycle.
-    let mut issue_used: HashMap<(SharedResourceId, u32), ()> = HashMap::new();
-    // Row-bus words per (row, cycle) when bus enforcement is on.
-    let mut bus_read: HashMap<(usize, u32), usize> = HashMap::new();
-    let mut bus_write: HashMap<(usize, u32), usize> = HashMap::new();
+        let mut banks = Vec::new();
+        let mut resources = 0;
+        for g in arch.plan().groups() {
+            let row_start = resources;
+            let col_start = row_start + geom.rows() * g.per_row();
+            resources = col_start + geom.cols() * g.per_col();
+            banks.push(Banks {
+                kind: g.kind(),
+                per_row: g.per_row(),
+                per_col: g.per_col(),
+                row_start,
+                col_start,
+            });
+        }
+        // Latency and group per operation kind, resolved once per call.
+        let mut op_lat = [1; OpKind::ALL.len()];
+        let mut op_group = [LOCAL; OpKind::ALL.len()];
+        for op in OpKind::ALL {
+            op_lat[op as usize] = u32::from(arch.op_latency(op));
+            if let Some(g) = banks.iter().position(|b| Some(b.kind) == op.fu()) {
+                op_group[op as usize] = g as u32;
+            }
+        }
 
-    let bound = ctx.total_cycles() * 4 + 16 * n as u32 + 64;
-    let mut remaining = n;
-    let mut t: u32 = 0;
-    while remaining > 0 {
-        if t > bound {
+        let mut lat = Vec::with_capacity(n);
+        let mut pe = Vec::with_capacity(n);
+        let mut group = Vec::with_capacity(n);
+        let mut last_base = 0;
+        for (i, inst) in insts.iter().enumerate() {
+            if !geom.contains(inst.pe) {
+                let v = ScheduleViolation::PeOutsideArray {
+                    instance: i,
+                    pe: inst.pe,
+                };
+                return Err(RspError::InvalidContext(v));
+            }
+            for p in &inst.preds {
+                if base[p.index()] >= base[i] {
+                    let v = ScheduleViolation::DependenceViolated {
+                        producer: p.index(),
+                        consumer: i,
+                        producer_cycle: base[p.index()],
+                        consumer_cycle: base[i],
+                    };
+                    return Err(RspError::InvalidContext(v));
+                }
+            }
+            last_base = last_base.max(base[i]);
+            lat.push(op_lat[inst.op as usize]);
+            pe.push(geom.linear(inst.pe) as u32);
+            group.push(op_group[inst.op as usize]);
+        }
+        if last_base > bound {
+            // No instance issues before its base cycle, so this diverges;
+            // failing here also bounds the counting sort's buckets.
             return Err(RspError::RearrangeDiverged { bound });
         }
-        // Candidate heads, ready at t, in loop-iteration order (rule 1).
-        let mut cands: Vec<InstanceId> = Vec::new();
-        for (&pe, &head) in heads.iter() {
-            let fifo = &fifos[&pe];
-            if head >= fifo.len() {
-                continue;
-            }
-            let id = fifo[head];
-            let i = id.index();
-            let inst = &ctx.instances()[i];
-            if ctx.cycles()[i] > t {
-                continue; // never earlier than the base schedule
-            }
-            let deps_ready = inst.preds.iter().all(|p| {
-                sched[p.index()] != u32::MAX && sched[p.index()] + latency(p.index()) <= t
-            });
-            if deps_ready {
-                cands.push(id);
-            }
+
+        let key = |i: usize| (insts[i].element, insts[i].step, insts[i].node);
+        let mut by_rank: Vec<u32> = (0..n as u32).collect();
+        if !(1..n).all(|i| key(i - 1) < key(i)) {
+            by_rank.sort_by_key(|&i| key(i as usize));
         }
-        cands.sort_by_key(|id| {
-            let inst = &ctx.instances()[id.index()];
-            (inst.element, inst.step, inst.node)
-        });
-
-        for id in cands {
-            let i = id.index();
-            let inst = &ctx.instances()[i];
-
-            // Shared-resource issue slot (RS rule).
-            let mut binding = None;
-            if enforce_sharing && arch.op_is_shared(inst.op) {
-                let mut found = false;
-                for res in arch.candidates(inst.pe, inst.op) {
-                    if !issue_used.contains_key(&(res, t)) {
-                        binding = Some(res);
-                        found = true;
-                        break;
-                    }
-                }
-                if !found {
-                    continue; // stalls; PE FIFO blocks
-                }
-            }
-
-            // Optional bus capacity.
-            if opts.enforce_buses {
-                let words = inst.bus_read_words();
-                if words > 0 {
-                    let used = bus_read.get(&(inst.pe.row, t)).copied().unwrap_or(0);
-                    if used + words > ctx.buses().read_buses() {
-                        continue;
-                    }
-                }
-                if inst.is_store() {
-                    let used = bus_write.get(&(inst.pe.row, t)).copied().unwrap_or(0);
-                    if used + 1 > ctx.buses().write_buses() {
-                        continue;
-                    }
-                }
-            }
-
-            // Issue.
-            sched[i] = t;
-            remaining -= 1;
-            *heads.get_mut(&(inst.pe.row, inst.pe.col)).unwrap() += 1;
-            if let Some(res) = binding {
-                issue_used.insert((res, t), ());
-                bindings[i] = Some(res);
-            }
-            if opts.enforce_buses {
-                *bus_read.entry((inst.pe.row, t)).or_default() += inst.bus_read_words();
-                *bus_write.entry((inst.pe.row, t)).or_default() += usize::from(inst.is_store());
-            }
+        let mut rank = vec![0; n];
+        for (r, &i) in by_rank.iter().enumerate() {
+            rank[i as usize] = r as u32;
         }
-        t += 1;
+
+        // Counting sort on base cycle, stable in rank order.
+        let mut next = vec![0u32; last_base as usize + 2];
+        for &b in base {
+            next[b as usize + 1] += 1;
+        }
+        for b in 1..next.len() {
+            next[b] += next[b - 1];
+        }
+        let mut order = vec![0; n];
+        for &i in &by_rank {
+            let slot = &mut next[base[i as usize] as usize];
+            order[*slot as usize] = i;
+            *slot += 1;
+        }
+
+        // Distributing that order over the PEs keeps it within each FIFO.
+        let pes = geom.pe_count();
+        let mut fifo_start = vec![0u32; pes + 1];
+        for &p in &pe {
+            fifo_start[p as usize + 1] += 1;
+        }
+        for p in 0..pes {
+            fifo_start[p + 1] += fifo_start[p];
+        }
+        let mut fill = fifo_start[..pes].to_vec();
+        let mut fifo = vec![0; n];
+        for &i in &order {
+            let slot = &mut fill[pe[i as usize] as usize];
+            fifo[*slot as usize] = i;
+            *slot += 1;
+        }
+
+        Ok(Self {
+            ctx,
+            lat,
+            pe,
+            group,
+            banks,
+            resources,
+            rank,
+            order,
+            fifo_start,
+            fifo,
+            bound,
+        })
     }
-    debug_assert!(geom.rows() > 0);
-    Ok((sched, bindings))
+
+    fn pe_count(&self) -> usize {
+        self.fifo_start.len() - 1
+    }
+
+    /// Pass 1: the makespan with unlimited shared resources.
+    fn sweep(&self) -> Result<u32, RspError> {
+        let insts = self.ctx.instances();
+        let base = self.ctx.cycles();
+        let mut issue = vec![0u32; insts.len()];
+        // First cycle each PE's next FIFO entry may issue in.
+        let mut free = vec![0u32; self.pe_count()];
+        let mut total = 0;
+        for &i in &self.order {
+            let i = i as usize;
+            let pe = self.pe[i] as usize;
+            let mut t = base[i].max(free[pe]);
+            for p in &insts[i].preds {
+                t = t.max(issue[p.index()] + self.lat[p.index()]);
+            }
+            issue[i] = t;
+            free[pe] = t + 1;
+            total = total.max(t + 1);
+        }
+        if total > 0 && total - 1 > self.bound {
+            return Err(RspError::RearrangeDiverged { bound: self.bound });
+        }
+        Ok(total)
+    }
+
+    /// Pass 2: the list schedule with shared resources granted in rank
+    /// order, and each instance's binding.
+    fn list_schedule(&self) -> Result<(Vec<u32>, Vec<Option<SharedResourceId>>), RspError> {
+        let n = self.ctx.instances().len();
+        let mut issue = vec![UNSET; n];
+        let mut bindings = vec![None; n];
+        let mut heads: Vec<Head> = self.fifo_start[..self.pe_count()]
+            .iter()
+            .map(|&pos| Head {
+                pos,
+                free: 0,
+                ready: UNSET,
+            })
+            .collect();
+        // Cycle each shared resource last accepted an issue in.
+        let mut stamp = vec![UNSET; self.resources];
+        // PEs with instances left, and this cycle's ready shared heads.
+        let mut active: Vec<usize> = (0..heads.len())
+            .filter(|&p| heads[p].pos < self.fifo_start[p + 1])
+            .collect();
+        let mut contenders = Vec::new();
+        let mut t = 0u32;
+        while !active.is_empty() {
+            if t > self.bound {
+                return Err(RspError::RearrangeDiverged { bound: self.bound });
+            }
+            let mut next = UNSET;
+            let mut any_ready = false;
+            for &p in &active {
+                let head = &mut heads[p];
+                let h = self.fifo[head.pos as usize] as usize;
+                if head.ready == UNSET {
+                    head.ready = self.ready_time(h, head.free, &issue);
+                }
+                if head.ready > t {
+                    next = next.min(head.ready);
+                    continue;
+                }
+                any_ready = true;
+                if self.group[h] == LOCAL {
+                    issue[h] = t;
+                    head.pop(t);
+                } else {
+                    contenders.push(h);
+                }
+            }
+            contenders.sort_unstable_by_key(|&h| self.rank[h]);
+            for h in contenders.drain(..) {
+                if let Some(res) = self.grant(h, t, &mut stamp) {
+                    issue[h] = t;
+                    bindings[h] = Some(res);
+                    heads[self.pe[h] as usize].pop(t);
+                }
+            }
+            active.retain(|&p| heads[p].pos < self.fifo_start[p + 1]);
+            // Nothing issues before the earliest ready head.
+            t = if any_ready { t + 1 } else { next };
+        }
+        Ok((issue, bindings))
+    }
+
+    /// First cycle FIFO head `h` may issue in, given its PE is free from
+    /// `free` on; [`UNSET`] while one of its producers has not issued.
+    fn ready_time(&self, h: usize, free: u32, issue: &[u32]) -> u32 {
+        let mut t = self.ctx.cycles()[h].max(free);
+        for p in &self.ctx.instances()[h].preds {
+            let at = issue[p.index()];
+            if at == UNSET {
+                return UNSET;
+            }
+            t = t.max(at + self.lat[p.index()]);
+        }
+        t
+    }
+
+    /// The first resource reachable from `h`'s PE that is free in cycle
+    /// `t` (row bank, then column bank), booked for `t`.
+    fn grant(&self, h: usize, t: u32, stamp: &mut [u32]) -> Option<SharedResourceId> {
+        let b = &self.banks[self.group[h] as usize];
+        let pe = self.ctx.instances()[h].pe;
+        let row = b.row_start + pe.row * b.per_row;
+        if let Some(index) = (0..b.per_row).find(|&k| stamp[row + k] != t) {
+            stamp[row + index] = t;
+            return Some(SharedResourceId::Row {
+                kind: b.kind,
+                row: pe.row,
+                index,
+            });
+        }
+        let col = b.col_start + pe.col * b.per_col;
+        let index = (0..b.per_col).find(|&k| stamp[col + k] != t)?;
+        stamp[col + index] = t;
+        Some(SharedResourceId::Col {
+            kind: b.kind,
+            col: pe.col,
+            index,
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rsp_arch::presets;
+    use crate::explore::DesignSpace;
+    use rsp_arch::{presets, BaseArchitecture};
     use rsp_kernel::suite;
-    use rsp_mapper::{map, validate_schedule, MapOptions};
+    use rsp_mapper::{map, validate_schedule, InstanceId, MapOptions};
+    use std::collections::HashMap;
+    use std::sync::Arc;
 
     fn ctx_for(kernel: &rsp_kernel::Kernel) -> ConfigContext {
         map(presets::base_8x8().base(), kernel, &MapOptions::default()).unwrap()
@@ -378,15 +613,12 @@ mod tests {
         // to return ConfigCacheExceeded here; now it must produce a
         // split plan whose segments fit the cache and whose stalls
         // follow the byte-derived cost model.
-        use rsp_arch::{BaseArchitecture, RspArchitecture};
         let k = suite::fdct();
         let ctx = ctx_for(&k);
         let big = presets::rs1();
         let probe = rearrange(&ctx, &big, &Default::default()).unwrap();
         let depth = (probe.total_cycles / 2 + 1) as usize;
-        let b = big.base();
-        let small = BaseArchitecture::new(b.geometry(), b.pe().clone(), b.buses(), depth);
-        let arch = RspArchitecture::new("RS#1-small", small, big.plan().clone()).unwrap();
+        let arch = with_cache(&big, depth);
 
         let r = rearrange(&ctx, &arch, &Default::default()).unwrap();
         // Same compact schedule — splitting repackages, never reschedules.
@@ -446,8 +678,7 @@ mod tests {
             for arch in [presets::rs1(), presets::rs2(), presets::rsp3()] {
                 let ctx = ctx_for(&k);
                 let r = rearrange(&ctx, &arch, &Default::default()).unwrap();
-                let mut seen: std::collections::HashMap<(SharedResourceId, u32), usize> =
-                    Default::default();
+                let mut seen: HashMap<(SharedResourceId, u32), usize> = HashMap::new();
                 for (i, b) in r.bindings.iter().enumerate() {
                     let inst = &ctx.instances()[i];
                     if inst.op == OpKind::Mult {
@@ -581,18 +812,253 @@ mod tests {
         }
     }
 
+    /// The list scheduler the engine replaced, kept as its oracle: it
+    /// steps through every cycle, re-checks every FIFO head's producers
+    /// and sorts the ready heads each cycle, and books shared issue slots
+    /// in a hash map. With `enforce_sharing` false, shared resources are
+    /// unlimited (pass 1).
+    fn oracle_schedule(
+        ctx: &ConfigContext,
+        arch: &RspArchitecture,
+        enforce_sharing: bool,
+    ) -> Result<(Vec<u32>, Vec<Option<SharedResourceId>>), RspError> {
+        let n = ctx.instances().len();
+        let mut sched = vec![u32::MAX; n];
+        let mut bindings: Vec<Option<SharedResourceId>> = vec![None; n];
+
+        // Per-PE FIFOs in base-schedule order.
+        let mut fifos: HashMap<(usize, usize), Vec<InstanceId>> = HashMap::new();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&i| {
+            let inst = &ctx.instances()[i];
+            (ctx.cycles()[i], inst.element, inst.step, inst.node)
+        });
+        for i in order {
+            let inst = &ctx.instances()[i];
+            fifos
+                .entry((inst.pe.row, inst.pe.col))
+                .or_default()
+                .push(inst.id);
+        }
+        let mut heads: HashMap<(usize, usize), usize> = fifos.keys().map(|&k| (k, 0)).collect();
+
+        let latency = |i: usize| -> u32 { u32::from(arch.op_latency(ctx.instances()[i].op)) };
+
+        // Issue slots of shared resources, per cycle.
+        let mut issue_used: HashMap<(SharedResourceId, u32), ()> = HashMap::new();
+
+        let bound = ctx.total_cycles() * 4 + 16 * n as u32 + 64;
+        let mut remaining = n;
+        let mut t: u32 = 0;
+        while remaining > 0 {
+            if t > bound {
+                return Err(RspError::RearrangeDiverged { bound });
+            }
+            // Candidate heads, ready at t, in loop-iteration order (rule 1).
+            let mut cands: Vec<InstanceId> = Vec::new();
+            for (&pe, &head) in heads.iter() {
+                let fifo = &fifos[&pe];
+                if head >= fifo.len() {
+                    continue;
+                }
+                let id = fifo[head];
+                let i = id.index();
+                let inst = &ctx.instances()[i];
+                if ctx.cycles()[i] > t {
+                    continue; // never earlier than the base schedule
+                }
+                let deps_ready = inst.preds.iter().all(|p| {
+                    sched[p.index()] != u32::MAX && sched[p.index()] + latency(p.index()) <= t
+                });
+                if deps_ready {
+                    cands.push(id);
+                }
+            }
+            cands.sort_by_key(|id| {
+                let inst = &ctx.instances()[id.index()];
+                (inst.element, inst.step, inst.node)
+            });
+
+            for id in cands {
+                let i = id.index();
+                let inst = &ctx.instances()[i];
+
+                // Shared-resource issue slot (RS rule).
+                let mut binding = None;
+                if enforce_sharing && arch.op_is_shared(inst.op) {
+                    let mut found = false;
+                    for res in arch.candidates(inst.pe, inst.op) {
+                        if !issue_used.contains_key(&(res, t)) {
+                            binding = Some(res);
+                            found = true;
+                            break;
+                        }
+                    }
+                    if !found {
+                        continue; // stalls; PE FIFO blocks
+                    }
+                }
+
+                // Issue.
+                sched[i] = t;
+                remaining -= 1;
+                *heads.get_mut(&(inst.pe.row, inst.pe.col)).unwrap() += 1;
+                if let Some(res) = binding {
+                    issue_used.insert((res, t), ());
+                    bindings[i] = Some(res);
+                }
+            }
+            t += 1;
+        }
+        Ok((sched, bindings))
+    }
+
+    /// What [`rearrange`] returned before the engine: both oracle
+    /// passes, then the same refill split.
+    fn oracle(ctx: &ConfigContext, arch: &RspArchitecture) -> Result<Rearranged, RspError> {
+        let (rp, _) = oracle_schedule(ctx, arch, false)?;
+        let rp_total = rp.iter().map(|&c| c + 1).max().unwrap_or(0);
+        let (cycles, bindings) = oracle_schedule(ctx, arch, true)?;
+        finish(ctx, arch, cycles, bindings, rp_total, |i| {
+            u32::from(arch.op_latency(ctx.instances()[i].op))
+        })
+    }
+
+    /// `arch` with its configuration cache cut to `depth` contexts.
+    fn with_cache(arch: &RspArchitecture, depth: usize) -> RspArchitecture {
+        let b = arch.base();
+        let small = BaseArchitecture::new(b.geometry(), b.pe().clone(), b.buses(), depth);
+        RspArchitecture::new(arch.name(), small, arch.plan().clone()).unwrap()
+    }
+
+    /// Every `step`-th plan of `space`, starting at `offset`, on the 8×8
+    /// base.
+    fn sampled_plans(space: &DesignSpace, offset: usize, step: usize) -> Vec<RspArchitecture> {
+        let base = Arc::new(presets::base_8x8().base().clone());
+        space
+            .plans()
+            .enumerate()
+            .skip(offset)
+            .step_by(step)
+            .filter_map(|(i, plan)| {
+                RspArchitecture::new(format!("plan#{i}"), Arc::clone(&base), plan).ok()
+            })
+            .collect()
+    }
+
+    /// Asserts the engine returns exactly what the oracle returns, result
+    /// or error, on `arch` and on `arch` with caches cut short enough to
+    /// force refill splits (some of them unsplittable).
+    fn assert_engine_matches_oracle(ctx: &ConfigContext, arch: &RspArchitecture) {
+        let engine = rearrange(ctx, arch, &Default::default());
+        let expected = oracle(ctx, arch);
+        assert_eq!(engine, expected, "{} on {}", ctx.kernel_name(), arch.name());
+        let Ok(full) = expected else { return };
+        for depth in [full.total_cycles / 2 + 1, full.total_cycles / 5 + 1, 3] {
+            let small = with_cache(arch, depth as usize);
+            let engine = rearrange(ctx, &small, &Default::default());
+            // The oracle's schedule does not read the cache depth; only
+            // the split does, so its run on `small` is this.
+            let expected = finish(
+                ctx,
+                &small,
+                full.cycles.clone(),
+                full.bindings.clone(),
+                full.total_cycles - full.rs_stalls,
+                |i| u32::from(arch.op_latency(ctx.instances()[i].op)),
+            );
+            assert_eq!(
+                engine,
+                expected,
+                "{} on {} with a {depth}-deep cache",
+                ctx.kernel_name(),
+                arch.name()
+            );
+        }
+    }
+
     #[test]
-    fn bus_enforcement_only_delays() {
-        let ctx = ctx_for(&suite::matmul(8));
-        let soft = rearrange(&ctx, &presets::rsp2(), &Default::default()).unwrap();
-        let strict = rearrange(
-            &ctx,
-            &presets::rsp2(),
-            &RearrangeOptions {
-                enforce_buses: true,
-            },
-        )
-        .unwrap();
-        assert!(strict.total_cycles >= soft.total_cycles);
+    fn engine_matches_the_oracle_scheduler() {
+        let mut kernels = suite::all();
+        kernels.extend(rsp_workload::registry());
+        let cfg = rsp_workload::RandomKernelConfig::default();
+        kernels.extend((0..12).map(|seed| rsp_workload::random_kernel(seed, &cfg)));
+        let deep = DesignSpace::deep();
+        let deep100 = DesignSpace::deep100();
+        for (k, kernel) in kernels.iter().enumerate() {
+            let Ok(ctx) = map(presets::base_8x8().base(), kernel, &MapOptions::default()) else {
+                continue;
+            };
+            // Big contexts get fewer plans: the oracle is slow.
+            let step = (ctx.instances().len() / 400).max(1);
+            let mut archs = presets::table_architectures();
+            archs.extend(sampled_plans(&deep, k % 37, 37 * step));
+            archs.extend(sampled_plans(&deep100, (k * 97) % 743, 743 * step));
+            for arch in &archs {
+                assert_engine_matches_oracle(&ctx, arch);
+            }
+        }
+    }
+
+    /// FDCT's 8×8 context, edited through its serde form.
+    fn edited_fdct(edit: impl FnOnce(&mut serde_json::Value)) -> ConfigContext {
+        let mut v = serde_json::to_value(&ctx_for(&suite::fdct())).unwrap();
+        edit(&mut v);
+        serde_json::from_value(v).unwrap()
+    }
+
+    #[test]
+    fn a_consumer_not_after_its_producer_is_an_error_naming_the_pair() {
+        let ctx = ctx_for(&suite::fdct());
+        let consumer = ctx
+            .instances()
+            .iter()
+            .find(|i| !i.preds.is_empty())
+            .unwrap();
+        let (c, p) = (consumer.id.index(), consumer.preds[0].index());
+        let broken = edited_fdct(|v| v["cycles"][c] = v["cycles"][p].clone());
+        let err = rearrange(&broken, &presets::rsp2(), &Default::default()).unwrap_err();
+        assert_eq!(
+            err,
+            RspError::InvalidContext(ScheduleViolation::DependenceViolated {
+                producer: p,
+                consumer: c,
+                producer_cycle: ctx.cycles()[p],
+                consumer_cycle: ctx.cycles()[p],
+            })
+        );
+        // The replaced scheduler scheduled such a context: it held the
+        // consumer until its producer's result was ready.
+        assert!(oracle(&broken, &presets::rsp2()).is_ok());
+    }
+
+    #[test]
+    fn instances_listed_out_of_loop_order_are_sorted_into_it() {
+        // Numbering FDCT's elements backwards lists every instance out of
+        // (element, step, node) order and reverses the §4 grant order.
+        let ctx = ctx_for(&suite::fdct());
+        let last = ctx.instances().iter().map(|i| i.element).max().unwrap();
+        let reversed = edited_fdct(|v| {
+            let edited = v["instances"].as_array_mut().unwrap();
+            for (inst, listed) in edited.iter_mut().zip(ctx.instances()) {
+                inst["element"] = (last - listed.element).into();
+            }
+        });
+        let rs1 = presets::rs1();
+        let r = rearrange(&reversed, &rs1, &Default::default()).unwrap();
+        assert_eq!(Ok(&r), oracle(&reversed, &rs1).as_ref());
+        // The grant order changed the schedule, so the rank was honoured.
+        let listed = rearrange(&ctx, &rs1, &Default::default()).unwrap();
+        assert_ne!(r.cycles, listed.cycles);
+    }
+
+    #[test]
+    fn an_instance_outside_the_array_is_an_error() {
+        let broken = edited_fdct(|v| v["instances"][5]["pe"]["col"] = 8.into());
+        let err = rearrange(&broken, &presets::rsp2(), &Default::default()).unwrap_err();
+        assert!(matches!(
+            err,
+            RspError::InvalidContext(ScheduleViolation::PeOutsideArray { instance: 5, .. })
+        ));
     }
 }

@@ -53,7 +53,6 @@ use crate::explore::{
     explore_with, Constraints, DesignSpace, Exploration, ExploreOptions, Objective,
 };
 use crate::flow::{run_flow, AppProfile, FlowConfig, FlowReport};
-use crate::rearrange::RearrangeOptions;
 use rsp_arch::{ArrayGeometry, BaseArchitecture, BusSpec, FuKind, PeDesign};
 use rsp_kernel::Kernel;
 use rsp_mapper::{map, ConfigContext, MapOptions};
@@ -164,7 +163,6 @@ pub struct SessionBuilder {
     geometries: Vec<(usize, usize)>,
     config_cache_depth: usize,
     map_options: MapOptions,
-    rearrange_options: RearrangeOptions,
     recorder: Arc<dyn Recorder>,
 }
 
@@ -179,7 +177,6 @@ impl Default for SessionBuilder {
             geometries: flow.geometries,
             config_cache_depth: flow.config_cache_depth,
             map_options: flow.map_options,
-            rearrange_options: flow.rearrange_options,
             recorder: flow.recorder,
         }
     }
@@ -231,12 +228,6 @@ impl SessionBuilder {
     /// Mapper options for session-built contexts.
     pub fn map_options(mut self, map_options: MapOptions) -> Self {
         self.map_options = map_options;
-        self
-    }
-
-    /// Rearrangement options for flow requests.
-    pub fn rearrange_options(mut self, rearrange_options: RearrangeOptions) -> Self {
-        self.rearrange_options = rearrange_options;
         self
     }
 
@@ -390,7 +381,6 @@ impl Session {
             constraints: self.config.constraints,
             objective: self.config.objective,
             map_options: self.config.map_options,
-            rearrange_options: self.config.rearrange_options,
             parallelism: self.config.parallelism,
             cache: Some(Arc::clone(&self.models)),
             profiles: Some(Arc::clone(&self.profiles)),

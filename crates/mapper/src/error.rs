@@ -73,6 +73,13 @@ pub enum ScheduleViolation {
         /// Consumer's cycle.
         consumer_cycle: u32,
     },
+    /// An instance sits on a PE outside the context's array.
+    PeOutsideArray {
+        /// Instance index.
+        instance: usize,
+        /// The PE.
+        pe: PeId,
+    },
     /// Two instances share one PE in one cycle.
     PeConflict {
         /// The PE.
@@ -106,6 +113,9 @@ impl fmt::Display for ScheduleViolation {
                 f,
                 "instance {consumer} at cycle {consumer_cycle} uses instance {producer} scheduled at cycle {producer_cycle}"
             ),
+            ScheduleViolation::PeOutsideArray { instance, pe } => {
+                write!(f, "instance {instance} sits on {pe}, outside the array")
+            }
             ScheduleViolation::PeConflict { pe, cycle } => {
                 write!(f, "two instances on {pe} in cycle {cycle}")
             }

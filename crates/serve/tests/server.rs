@@ -232,6 +232,27 @@ fn a_flow_over_no_executed_work_answers_an_error() {
 }
 
 #[test]
+fn an_exploration_over_no_kernels_answers_an_error() {
+    let server = Server::spawn(ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let reply = client
+        .call(Request::Explore(ExploreRequest {
+            kernels: vec![],
+            weights: None,
+            rows: 8,
+            cols: 8,
+            space: SpaceSpec::Paper,
+            limits: Limits::none(),
+        }))
+        .unwrap();
+    match reply {
+        Response::Error(msg) => assert_eq!(msg, rsp_core::RspError::EmptyProfile.to_string()),
+        other => panic!("expected Error, got {other:?}"),
+    }
+    server.shutdown();
+}
+
+#[test]
 fn served_flow_matches_in_process_session_flow() {
     let apps = vec![rsp_core::AppProfile::new(
         "video",
