@@ -27,12 +27,14 @@
 //!   via [`ExploreOptions::cache`] to share it across repeated
 //!   explorations, which then never re-synthesize a plan they have seen.
 //! * **Profiled demand, suffix tables** — each kernel's per-cycle
-//!   demand for every shared kind in the space is profiled once into a
-//!   word-packed bit-plane [`rsp_mapper::CycleDemand`] with precomputed
-//!   slack suffix tables; a candidate's RS estimate is an
-//!   O(non-empty cycles) sweep over those tables
-//!   ([`crate::ContextProfile`]). Nothing of size
-//!   `cycles × rows × cols` is ever allocated.
+//!   demand for every shared kind in the space is profiled once per
+//!   call (the `explore/profile` span) into a word-packed bit-plane
+//!   [`rsp_mapper::CycleDemand`] with precomputed slack suffix tables;
+//!   a candidate's RS estimate is an O(non-empty cycles) sweep over
+//!   those tables ([`crate::ContextProfile`]). Nothing of size
+//!   `cycles × rows × cols` is ever allocated. Profiles are not
+//!   memoized across calls: a key would read the whole context and
+//!   cost as much as the build.
 //! * **Two cuts, one candidate at a time** — the estimate is admissible
 //!   (see [`crate::estimate`]), so a candidate is settled by a function
 //!   of that candidate alone, in this order: build it and query its
@@ -329,12 +331,12 @@ pub struct ExploreOptions {
     /// run-local cache, which still deduplicates the base plan and any
     /// plans repeated within the space.
     pub cache: Option<Arc<ModelCache>>,
-    /// Kernel-profile memo to use. Pass one shared
-    /// [`ProfileCache`](crate::ProfileCache) when exploring the same
-    /// kernels repeatedly (each `(context, kernel)` pair is profiled
-    /// exactly once across all runs that share it); `None` profiles
-    /// fresh per run. Profiling is pure, so results are unaffected.
-    pub profiles: Option<Arc<crate::ProfileCache>>,
+    /// Ignored: every exploration builds each kernel's profile once
+    /// (see [`ProfileCache`]). The field stays only because the
+    /// benchmark package sets it; the next change to the benchmark
+    /// removes it, together with [`ProfileCache`] and
+    /// [`RearrangeOptions`](crate::RearrangeOptions).
+    pub profiles: Option<Arc<ProfileCache>>,
     /// Run budget and cooperative cancellation (default: unlimited).
     /// When a deadline, candidate budget, or external cancel stops the
     /// sweep early, the result is an anytime prefix tagged
@@ -359,6 +361,25 @@ impl Default for ExploreOptions {
             control: ExploreControl::default(),
             recorder: rsp_obs::global(),
         }
+    }
+}
+
+/// Empty and unused: no kernel-profile memo exists.
+///
+/// A profile is a pure function of the mapped context and takes tens of
+/// microseconds to build, while a memo key must read the whole context,
+/// which costs as much or more. So every exploration builds each
+/// kernel's profile once per call. The type stays only because the
+/// benchmark package builds it into [`ExploreOptions::profiles`] and
+/// [`FlowConfig::profiles`](crate::FlowConfig::profiles); the next
+/// change to the benchmark removes it.
+#[derive(Debug, Default)]
+pub struct ProfileCache {}
+
+impl ProfileCache {
+    /// The (empty) value the benchmark package builds.
+    pub fn new() -> Self {
+        Self::default()
     }
 }
 
@@ -733,6 +754,11 @@ fn explore_engine(
 ) -> Result<Exploration, RspError> {
     assert_eq!(kernels.len(), contexts.len());
     assert_eq!(kernels.len(), weights.len());
+    // Observability: spans and prune decisions go to the caller's
+    // recorder. Everything below is gated on `obs.enabled()` (directly
+    // or inside `Span`/`point`), so the default `NullRecorder` costs
+    // one branch per site and zero clock reads.
+    let obs = &*options.recorder;
     let constraints = &options.constraints;
     let models = options
         .cache
@@ -741,6 +767,7 @@ fn explore_engine(
     let cache_depth = base.config_cache_depth() as u32;
     let base = Arc::new(base.clone());
 
+    let base_span = Span::enter(obs, "explore", "base", 0);
     let base_arch = RspArchitecture::new("Base", Arc::clone(&base), SharingPlan::none())
         .expect("base plan is always valid");
     let base_clock = models.reports(&base_arch).1.clock_ns;
@@ -761,20 +788,19 @@ fn explore_engine(
     if let Some(ckpt) = resume {
         validate_checkpoint(ckpt, &fingerprint, base_et)?;
     }
+    drop(base_span);
 
-    // One profile per kernel, shared read-only by all workers — served
-    // from the caller's ProfileCache when one rides along (profiling is
-    // pure, so cached and fresh profiles are interchangeable). Profiles
-    // cover every kind the space can share, grid or mix.
+    // One profile per kernel, built once per call and shared read-only
+    // by all workers. Profiles cover every kind the space can share,
+    // grid or mix.
+    let profile_span = Span::enter(obs, "explore", "profile", 0);
     let profile_kinds = space.kinds_used();
-    let profiles: Vec<Arc<ContextProfile>> = contexts
+    let profiles: Vec<ContextProfile> = contexts
         .iter()
         .zip(kernels)
-        .map(|(ctx, k)| match &options.profiles {
-            Some(cache) => cache.get_or_build(ctx, k, &profile_kinds),
-            None => Arc::new(ContextProfile::new(ctx, k, &profile_kinds)),
-        })
+        .map(|(ctx, k)| ContextProfile::new(ctx, k, &profile_kinds))
         .collect();
+    drop(profile_span);
 
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(options.parallelism.unwrap_or(0))
@@ -823,12 +849,6 @@ fn explore_engine(
             cost_bound_ok,
         })
     };
-
-    // Observability: spans and prune decisions go to the caller's
-    // recorder. Everything below is gated on `obs.enabled()` (directly
-    // or inside `Span`/`point`), so the default `NullRecorder` costs
-    // one branch per site and zero clock reads.
-    let obs = &*options.recorder;
 
     let mut feasible: Vec<DesignPoint> = Vec::new();
     let mut stats = PruneStats::default();

@@ -109,8 +109,10 @@ pub struct FlowConfig {
     /// only re-synthesis is avoided. [`crate::Session`] wires this
     /// automatically.
     pub cache: Option<Arc<ModelCache>>,
-    /// Kernel-profile memo shared across flows (default `None` =
-    /// profile fresh per run; see [`ExploreOptions::profiles`]).
+    /// Ignored, like [`ExploreOptions::profiles`]: each exploration
+    /// builds its own kernel profiles. The field stays only because the
+    /// benchmark package sets it; the next change to the benchmark
+    /// removes it.
     pub profiles: Option<Arc<crate::ProfileCache>>,
     /// Run budget and cooperative cancellation across the whole flow
     /// (default: unlimited). The deadline and cancel flag are checked in
@@ -440,7 +442,7 @@ pub fn run_flow(apps: &[AppProfile], config: &FlowConfig) -> Result<FlowReport, 
             constraints: config.constraints,
             objective: config.objective,
             cache: config.cache.clone(),
-            profiles: config.profiles.clone(),
+            profiles: None,
             control: ExploreControl {
                 deadline: clock.remaining_deadline(),
                 candidate_budget: config.control.candidate_budget,

@@ -90,14 +90,14 @@ pub use estimate::{estimate_stalls, refill_stall_estimate, ContextProfile, Stall
 pub use explore::{
     explore, explore_reference, explore_reference_with, explore_resume, explore_with, Constraints,
     DesignPoint, DesignSpace, Exploration, ExploreCheckpoint, ExploreOptions, Objective,
-    PruneStats,
+    ProfileCache, PruneStats,
 };
 pub use flow::{run_flow, AppProfile, CriticalLoop, FlowConfig, FlowReport, FlowStats};
 pub use frontier::ParetoFrontier;
 pub use perf::{evaluate_perf, perf_from_rearranged, perf_from_rearranged_with, KernelPerf};
 pub use power::{activity_of, evaluate_energy};
 pub use rearrange::{rearrange, RearrangeOptions, Rearranged};
-pub use session::{ProfileCache, Session, SessionBuilder, SessionStats};
+pub use session::{Session, SessionBuilder, SessionStats};
 pub use utilization::{utilization_of, FuUtilization, UtilizationReport};
 
 /// The observability facade option structs carry their recorder from

@@ -729,7 +729,7 @@ mod tests {
         // stall. Eight of nine kernels reproduce exactly; our FDCT
         // schedule (write-bus limited, II = 9) keeps one residual stall
         // where the paper's (tighter, RP-stretched) schedule had none —
-        // recorded as a deviation in EXPERIMENTS.md.
+        // recorded as deviation D2 in EXPERIMENTS.md.
         let rsp2 = presets::rsp2();
         for k in suite::all() {
             let r = rearrange(&ctx_for(&k), &rsp2, &Default::default()).unwrap();

@@ -2,17 +2,19 @@
 //!
 //! A [`Session`] owns everything that outlives one query: the memoized
 //! synthesis reports ([`ModelCache`], keyed by `(geometry, plan)`), the
-//! per-kernel demand profiles ([`ProfileCache`], keyed by kernel hash),
-//! the mapped initial contexts, and the option defaults that every
-//! request inherits. The engine entry points ([`explore_with`],
-//! [`run_flow`]) stay pure functions of their inputs; a session merely
-//! *assembles* their option structs — one [`SessionBuilder`] replaces
-//! the hand-built `ExploreOptions` + `FlowConfig` + [`ExploreControl`]
+//! mapped initial contexts, and the option defaults that every request
+//! inherits. The engine entry points ([`explore_with`], [`run_flow`])
+//! stay pure functions of their inputs; a session merely *assembles*
+//! their option structs — one [`SessionBuilder`] replaces the
+//! hand-built `ExploreOptions` + `FlowConfig` + [`ExploreControl`]
 //! pattern at call sites — and threads its shared caches through them,
 //! so repeated or concurrent requests never re-synthesize a plan or
-//! re-profile a kernel they have seen.
+//! re-map a kernel they have seen. Kernel demand profiles are not
+//! memoized: each exploration builds its own, once per kernel, because
+//! any key that reads the whole mapped context costs about as much as
+//! the build.
 //!
-//! Results are unaffected: cached reports and profiles are pure
+//! Results are unaffected: cached reports and contexts are pure
 //! functions of their keys, so a session-backed query is bit-identical
 //! to a cold one (property-tested below and in `crates/serve`). The CLI
 //! issues one request per process; `rsp-serve` keeps one session for
@@ -48,12 +50,11 @@
 
 use crate::control::ExploreControl;
 use crate::error::RspError;
-use crate::estimate::ContextProfile;
 use crate::explore::{
     explore_with, Constraints, DesignSpace, Exploration, ExploreOptions, Objective,
 };
 use crate::flow::{run_flow, AppProfile, FlowConfig, FlowReport};
-use rsp_arch::{ArrayGeometry, BaseArchitecture, BusSpec, FuKind, PeDesign};
+use rsp_arch::{ArrayGeometry, BaseArchitecture, BusSpec, PeDesign};
 use rsp_kernel::Kernel;
 use rsp_mapper::{map, ConfigContext, MapOptions};
 use rsp_obs::Recorder;
@@ -85,70 +86,6 @@ fn fingerprint(parts: std::fmt::Arguments<'_>) -> u64 {
     let mut h = DefaultHasher::new();
     let _ = HashWriter(&mut h).write_fmt(parts);
     h.finish()
-}
-
-/// Thread-safe memo of [`ContextProfile`]s keyed by kernel hash (the
-/// kernel, its mapped context, and the shared kinds being profiled).
-/// Profiling is a pure function of that key, so sharing one cache
-/// across requests — [`ExploreOptions::profiles`] /
-/// [`FlowConfig::profiles`], wired automatically by [`Session`] —
-/// changes nothing but the work performed.
-#[derive(Debug, Default)]
-pub struct ProfileCache {
-    memo: Mutex<HashMap<u64, Arc<ContextProfile>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl ProfileCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The profile for `(ctx, kernel, kinds)`, built at most once.
-    pub fn get_or_build(
-        &self,
-        ctx: &ConfigContext,
-        kernel: &Kernel,
-        kinds: &[FuKind],
-    ) -> Arc<ContextProfile> {
-        let key = fingerprint(format_args!("{ctx:?}\u{1}{kernel:?}\u{1}{kinds:?}"));
-        if let Some(hit) = self.memo.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        // Built outside the lock: profiling is the expensive part and a
-        // racing duplicate build is pure, so last-write-wins is harmless.
-        let profile = Arc::new(ContextProfile::new(ctx, kernel, kinds));
-        self.memo
-            .lock()
-            .unwrap()
-            .entry(key)
-            .or_insert_with(|| Arc::clone(&profile));
-        profile
-    }
-
-    /// Distinct `(context, kernel, kinds)` triples profiled so far.
-    pub fn len(&self) -> usize {
-        self.memo.lock().unwrap().len()
-    }
-
-    /// Whether nothing has been profiled yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lookups served from the memo.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that had to profile.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
 }
 
 /// Builder for a [`Session`]: every knob the old hand-assembled
@@ -243,7 +180,6 @@ impl SessionBuilder {
         Session {
             config: self,
             models: Arc::new(ModelCache::new()),
-            profiles: Arc::new(ProfileCache::new()),
             contexts: Mutex::new(HashMap::new()),
             context_hits: AtomicU64::new(0),
             context_misses: AtomicU64::new(0),
@@ -261,12 +197,6 @@ pub struct SessionStats {
     pub model_hits: u64,
     /// Synthesis-memo misses ([`ModelCache::misses`]).
     pub model_misses: u64,
-    /// Distinct kernel profiles cached ([`ProfileCache::len`]).
-    pub profile_entries: usize,
-    /// Profile-memo hits.
-    pub profile_hits: u64,
-    /// Profile-memo misses.
-    pub profile_misses: u64,
     /// Distinct mapped contexts cached by [`Session::map`].
     pub mapped_contexts: usize,
     /// Context-memo hits ([`Session::map`] answered from the memo).
@@ -279,7 +209,7 @@ pub struct SessionStats {
 }
 
 /// Long-lived engine state shared by every request: option defaults
-/// plus the synthesis, profile, and mapping caches. See the module docs
+/// plus the synthesis and mapping caches. See the module docs
 /// for the session/engine split; construct via [`Session::builder`].
 ///
 /// `Session` is `Send + Sync`: concurrent requests share the caches and
@@ -288,7 +218,6 @@ pub struct SessionStats {
 pub struct Session {
     config: SessionBuilder,
     models: Arc<ModelCache>,
-    profiles: Arc<ProfileCache>,
     contexts: Mutex<HashMap<u64, Arc<ConfigContext>>>,
     context_hits: AtomicU64,
     context_misses: AtomicU64,
@@ -312,20 +241,12 @@ impl Session {
         Arc::clone(&self.models)
     }
 
-    /// The shared kernel-profile memo.
-    pub fn profile_cache(&self) -> Arc<ProfileCache> {
-        Arc::clone(&self.profiles)
-    }
-
     /// Cache counters — the observable proof of cross-request sharing.
     pub fn stats(&self) -> SessionStats {
         SessionStats {
             model_reports: self.models.len(),
             model_hits: self.models.hits(),
             model_misses: self.models.misses(),
-            profile_entries: self.profiles.len(),
-            profile_hits: self.profiles.hits(),
-            profile_misses: self.profiles.misses(),
             mapped_contexts: self.contexts.lock().unwrap().len(),
             context_hits: self.context_hits.load(Ordering::Relaxed),
             context_misses: self.context_misses.load(Ordering::Relaxed),
@@ -355,23 +276,23 @@ impl Session {
     }
 
     /// [`ExploreOptions`] assembled from the session defaults with the
-    /// shared caches attached — the unified replacement for hand-built
-    /// option structs. `control` carries the per-request deadline /
-    /// candidate budget / cancel flag.
+    /// shared synthesis memo attached — the unified replacement for
+    /// hand-built option structs. `control` carries the per-request
+    /// deadline / candidate budget / cancel flag.
     pub fn explore_options(&self, control: ExploreControl) -> ExploreOptions {
         ExploreOptions {
             parallelism: self.config.parallelism,
             constraints: self.config.constraints,
             objective: self.config.objective,
             cache: Some(Arc::clone(&self.models)),
-            profiles: Some(Arc::clone(&self.profiles)),
+            profiles: None,
             control,
             recorder: Arc::clone(&self.config.recorder),
         }
     }
 
     /// [`FlowConfig`] assembled from the session defaults with the
-    /// shared caches attached; `control` is per-request.
+    /// shared synthesis memo attached; `control` is per-request.
     pub fn flow_config(&self, space: DesignSpace, control: ExploreControl) -> FlowConfig {
         FlowConfig {
             coverage: self.config.coverage,
@@ -383,7 +304,7 @@ impl Session {
             map_options: self.config.map_options,
             parallelism: self.config.parallelism,
             cache: Some(Arc::clone(&self.models)),
-            profiles: Some(Arc::clone(&self.profiles)),
+            profiles: None,
             control,
             recorder: Arc::clone(&self.config.recorder),
         }
@@ -492,9 +413,9 @@ mod tests {
         assert_eq!(opts.parallelism, defaults.parallelism);
         assert_eq!(opts.constraints, defaults.constraints);
         assert_eq!(opts.objective, defaults.objective);
-        // The one deliberate difference: the session's caches ride along.
+        // The one deliberate difference: the session's synthesis memo
+        // rides along.
         assert!(opts.cache.is_some());
-        assert!(opts.profiles.is_some());
 
         let cfg = session.flow_config(DesignSpace::paper(), ExploreControl::default());
         let flow_defaults = FlowConfig::default();
@@ -550,18 +471,15 @@ mod tests {
             .unwrap();
         let first = session.stats();
         assert!(first.model_reports > 0);
-        assert_eq!(first.profile_entries, kernels.len());
         assert_eq!(first.mapped_contexts, kernels.len());
 
         session
             .explore(&base, &kernels, &weights, &space, ExploreControl::default())
             .unwrap();
         let second = session.stats();
-        // Nothing new was synthesized, mapped, or profiled...
+        // Nothing new was synthesized or mapped...
         assert_eq!(second.model_reports, first.model_reports);
         assert_eq!(second.model_misses, first.model_misses);
-        assert_eq!(second.profile_entries, first.profile_entries);
-        assert_eq!(second.profile_misses, first.profile_misses);
         assert_eq!(second.mapped_contexts, first.mapped_contexts);
         assert_eq!(second.context_misses, first.context_misses);
         // ...because the memos answered instead.
@@ -570,10 +488,6 @@ mod tests {
             first.context_hits + kernels.len() as u64
         );
         assert!(second.model_hits > first.model_hits);
-        assert_eq!(
-            second.profile_hits,
-            first.profile_hits + kernels.len() as u64
-        );
         assert!(second.requests > first.requests);
     }
 
@@ -600,24 +514,53 @@ mod tests {
     }
 
     #[test]
-    fn profile_cache_distinguishes_kernels_and_kinds() {
-        let session = Session::builder().build();
+    fn each_explore_profiles_its_kernels_exactly_once() {
+        // The work anchor of per-call profiling: whatever the number of
+        // kernels, chunks or candidates, one exploration records one
+        // `explore/base` and one `explore/profile` span. Profiles built
+        // per chunk or per candidate change these counts.
+        let ring = Arc::new(rsp_obs::RingRecorder::new(64));
+        let session = Session::builder().recorder(ring.clone()).build();
         let base = session.base(8, 8);
-        let cache = session.profile_cache();
-        let ctx_fdct = session.map(&base, &suite::fdct()).unwrap();
-        let ctx_sad = session.map(&base, &suite::sad()).unwrap();
-        cache.get_or_build(&ctx_fdct, &suite::fdct(), &[FuKind::Multiplier]);
-        cache.get_or_build(&ctx_sad, &suite::sad(), &[FuKind::Multiplier]);
-        cache.get_or_build(
-            &ctx_fdct,
-            &suite::fdct(),
-            &[FuKind::Multiplier, FuKind::Alu],
-        );
-        assert_eq!(cache.len(), 3);
-        assert_eq!(cache.misses(), 3);
-        cache.get_or_build(&ctx_fdct, &suite::fdct(), &[FuKind::Multiplier]);
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.len(), 3);
+        let (kernels, weights) = kernels_and_weights();
+        let space = DesignSpace::deep();
+        let explore = || {
+            session
+                .explore(&base, &kernels, &weights, &space, ExploreControl::default())
+                .unwrap()
+        };
+        let spans = |name: &str| {
+            ring.summary()
+                .iter()
+                .find(|((target, n), _)| *target == "explore" && *n == name)
+                .map_or(0, |(_, s)| s.count)
+        };
+
+        let first = explore();
+        assert_eq!((spans("base"), spans("profile")), (1, 1));
+        assert!(spans("prepare") > 1, "the deep space spans several chunks");
+        let second = explore();
+        assert_eq!((spans("base"), spans("profile")), (2, 2));
+        // Bit-identical results (`Debug` prints floats shortest
+        // round-trip, so equal text is equal bits). Only the split of
+        // the prune count may move: a warm synthesis memo answers the
+        // clock floor with the exact clock, so more candidates are cut
+        // before synthesis (`PruneStats::clock_bound_cuts`).
+        let result = |e: &Exploration| {
+            let s = e.stats;
+            format!(
+                "{:?}",
+                (
+                    &e.feasible,
+                    &e.pareto,
+                    e.best,
+                    e.base_et_ns,
+                    &e.completeness,
+                    (s.candidates_seen, s.candidates_pruned, s.faulted),
+                )
+            )
+        };
+        assert_eq!(result(&first), result(&second));
     }
 
     #[test]

@@ -278,7 +278,16 @@ pub struct DemandProfile {
 }
 
 /// The scheduled mapping of one kernel onto one array.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Deserializing checks the structure every consumer indexes by: one
+/// base cycle per instance, each instance's id equal to its position,
+/// every predecessor and instance operand naming an instance of this
+/// context, and `total_cycles` one past the last cycle (0 when empty).
+/// A context that breaks any of these is an error, not a value. What a
+/// schedule means — dependence order, PE placement inside the array —
+/// is left to the passes that use it (`rsp_core::rearrange` reports
+/// those as invalid contexts).
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ConfigContext {
     kernel_name: String,
     geometry: ArrayGeometry,
@@ -288,6 +297,71 @@ pub struct ConfigContext {
     instances: Vec<OpInstance>,
     cycles: Vec<u32>,
     total_cycles: u32,
+}
+
+/// The serialized fields of a [`ConfigContext`], before its structure
+/// is checked.
+#[derive(Deserialize)]
+struct ConfigContextFields {
+    kernel_name: String,
+    geometry: ArrayGeometry,
+    buses: BusSpec,
+    style: MappingStyle,
+    initiation_interval: u32,
+    instances: Vec<OpInstance>,
+    cycles: Vec<u32>,
+    total_cycles: u32,
+}
+
+impl<'de> Deserialize<'de> for ConfigContext {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
+        let f = ConfigContextFields::from_value(value)?;
+        let invalid = |what: String| Err(serde::DeError(format!("invalid ConfigContext: {what}")));
+        let n = f.instances.len();
+        if f.cycles.len() != n {
+            return invalid(format!("{} cycles for {n} instances", f.cycles.len()));
+        }
+        for (i, inst) in f.instances.iter().enumerate() {
+            if inst.id.index() != i {
+                return invalid(format!("instance {i} has id {}", inst.id));
+            }
+            let operand_ids = inst.operands.iter().filter_map(|o| match *o {
+                SrcOperand::Inst(id) | SrcOperand::PairOf(id) => Some(id),
+                SrcOperand::Const(_) | SrcOperand::Param(_) => None,
+            });
+            if let Some(id) = inst
+                .preds
+                .iter()
+                .copied()
+                .chain(operand_ids)
+                .find(|id| id.index() >= n)
+            {
+                return invalid(format!("instance {i} refers to {id} of {n}"));
+            }
+        }
+        let span = f
+            .cycles
+            .iter()
+            .map(|&c| u64::from(c) + 1)
+            .max()
+            .unwrap_or(0);
+        if u64::from(f.total_cycles) != span {
+            return invalid(format!(
+                "total_cycles {} but the schedule spans {span}",
+                f.total_cycles
+            ));
+        }
+        Ok(Self {
+            kernel_name: f.kernel_name,
+            geometry: f.geometry,
+            buses: f.buses,
+            style: f.style,
+            initiation_interval: f.initiation_interval,
+            instances: f.instances,
+            cycles: f.cycles,
+            total_cycles: f.total_cycles,
+        })
+    }
 }
 
 impl ConfigContext {

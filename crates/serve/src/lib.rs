@@ -5,8 +5,9 @@
 //! (kernels as `rsp_workload` textual DFG source) and get map / explore
 //! / flow answers concurrently, all served from the session's
 //! process-wide caches — synthesis reports keyed by `(geometry, plan)`,
-//! kernel profiles keyed by kernel hash — so a stream of overlapping
-//! requests synthesizes each plan once instead of once per request.
+//! mapped contexts keyed by `(base, kernel)` — so a stream of
+//! overlapping requests synthesizes each plan and maps each kernel once
+//! instead of once per request.
 //!
 //! Engine invariants carry over to the wire:
 //!
@@ -544,10 +545,6 @@ fn stats_reply(ctx: &ServerCtx) -> StatsReply {
         model_hits: s.model_hits,
         model_misses: s.model_misses,
         model_hit_rate: hit_rate(s.model_hits, s.model_misses),
-        profile_entries: s.profile_entries as u64,
-        profile_hits: s.profile_hits,
-        profile_misses: s.profile_misses,
-        profile_hit_rate: hit_rate(s.profile_hits, s.profile_misses),
         mapped_contexts: s.mapped_contexts as u64,
         context_hits: s.context_hits,
         context_misses: s.context_misses,

@@ -45,7 +45,11 @@ pub const PROTOCOL_VERSION: u32 = 2;
 /// Schema version stamped into every [`StatsReply`] (its `schema`
 /// field), so clients can detect snapshot-shape changes independently
 /// of the envelope version.
-pub const STATS_SCHEMA_VERSION: u32 = 2;
+///
+/// History: v2 — the observability snapshot of protocol v2; v3 — the
+/// four `profile_*` fields are gone, because the session no longer
+/// memoizes kernel profiles (each exploration builds its own).
+pub const STATS_SCHEMA_VERSION: u32 = 3;
 
 /// One request line: version, client-chosen correlation id, body.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -190,14 +194,6 @@ pub struct StatsReply {
     pub model_misses: u64,
     /// Synthesis-memo hit rate (`0.0` before the first lookup).
     pub model_hit_rate: f64,
-    /// Distinct kernel profiles cached.
-    pub profile_entries: u64,
-    /// Profile-memo hits.
-    pub profile_hits: u64,
-    /// Profile-memo misses.
-    pub profile_misses: u64,
-    /// Profile-memo hit rate (`0.0` before the first lookup).
-    pub profile_hit_rate: f64,
     /// Distinct mapped contexts cached.
     pub mapped_contexts: u64,
     /// Mapped-context memo hits.

@@ -123,22 +123,6 @@ fn concurrent_explores_are_bit_identical_and_share_the_cache() {
         stats.model_hits > stats.model_misses,
         "reuse should dominate: {stats:?}"
     );
-    assert_eq!(stats.profile_entries, 2, "one profile per kernel");
-    // Exact accounting: every request looks up both kernels, and each
-    // lookup is a hit or a miss — racing cold starts shift the split
-    // (several of the 8 in-flight explores can miss together before
-    // the first profile lands) but never the sum, and warm lookups
-    // always at least match the cold ones.
-    assert_eq!(
-        stats.profile_hits + stats.profile_misses,
-        2 * 8,
-        "eight requests × two kernels: {stats:?}"
-    );
-    assert!(stats.profile_misses >= 2, "each kernel profiles cold once");
-    assert!(
-        stats.profile_hits >= stats.profile_misses,
-        "reuse at least matches cold starts: {stats:?}"
-    );
     assert_eq!(stats.mapped_contexts, 2);
     server.shutdown();
 }

@@ -5,7 +5,7 @@
 use rsp::arch::{presets, RspArchitecture};
 use rsp::core::{rearrange, Rearranged};
 use rsp::kernel::{suite, Kernel, MemoryImage};
-use rsp::mapper::{map, ConfigContext, MapOptions};
+use rsp::mapper::{map, ConfigContext, InstanceId, MapOptions, SrcOperand};
 
 fn round_trip<T>(value: &T) -> T
 where
@@ -38,12 +38,53 @@ fn architectures_round_trip() {
 #[test]
 fn contexts_round_trip() {
     let base = presets::base_8x8();
-    for k in [suite::mvm(), suite::fdct()] {
+    for k in suite::all() {
         let ctx = map(base.base(), &k, &MapOptions::default()).unwrap();
         let back: ConfigContext = round_trip(&ctx);
         assert_eq!(back, ctx, "{}", k.name());
         assert_eq!(back.mult_profile(), ctx.mult_profile());
     }
+}
+
+#[test]
+fn structurally_broken_contexts_do_not_deserialize() {
+    let base = presets::base_8x8();
+    let fdct = map(base.base(), &suite::fdct(), &MapOptions::default()).unwrap();
+    let consumer = fdct
+        .instances()
+        .iter()
+        .find(|i| !i.preds.is_empty())
+        .unwrap()
+        .id
+        .index();
+    let load = |edit: &dyn Fn(&mut serde_json::Value)| {
+        let mut v = serde_json::to_value(&fdct).unwrap();
+        edit(&mut v);
+        serde_json::from_value::<ConfigContext>(v)
+    };
+    let rejects = |reason: &str, edit: &dyn Fn(&mut serde_json::Value)| {
+        let err = load(edit).unwrap_err().to_string();
+        assert!(err.contains(reason), "{err:?} should say {reason:?}");
+    };
+    let missing = InstanceId(100_000);
+
+    // Used to rearrange to `base_cycles: 5, rp_overhead: 38`.
+    rejects("total_cycles 5 but", &|v| v["total_cycles"] = 5.into());
+    // Used to panic inside `rearrange`.
+    rejects("cycles for", &|v| {
+        v["cycles"].as_array_mut().unwrap().pop();
+    });
+    rejects("has id", &|v| v["instances"][3]["id"] = 4.into());
+    rejects("refers to", &|v| {
+        v["instances"][consumer]["preds"][0] = missing.0.into()
+    });
+    for operand in [SrcOperand::Inst(missing), SrcOperand::PairOf(missing)] {
+        rejects("refers to", &|v| {
+            v["instances"][consumer]["operands"][0] = serde_json::to_value(&operand).unwrap()
+        });
+    }
+    // Only the edits break structure: the unedited context still loads.
+    assert_eq!(load(&|_| {}).unwrap(), fdct);
 }
 
 #[test]
