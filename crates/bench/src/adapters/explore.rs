@@ -19,9 +19,8 @@
 //!   faithful oracle: clones the base per candidate, re-synthesizes
 //!   every report, rebuilds dense demand histograms. It emits no events,
 //!   so its row anchors results only.
-//! * `engine-1-thread` — the allocation-free engine pinned to one thread.
-//! * `engine-parallel` — the engine on all cores: the same anchors and
-//!   event counts at any thread count.
+//! * `engine-1-thread` — the allocation-free engine, which runs on its
+//!   caller's thread (the name is the committed artifacts' row key).
 
 use super::{Measured, Rows};
 use crate::gate::EngineRow;
@@ -77,24 +76,21 @@ pub fn run(space: &DesignSpace, space_label: &str) -> Measured {
         },
         |r, events| EngineRow::from_exploration("serial-reference", r, events),
     );
-    for (name, parallelism) in [("engine-1-thread", Some(1)), ("engine-parallel", None)] {
-        rows.record(
-            || {
-                // Built inside the recorded run so its recorder is the
-                // row's; a fresh run-local cache (`cache: None`) so each
-                // row does the full work.
-                let opts = ExploreOptions {
-                    parallelism,
-                    constraints,
-                    objective,
-                    ..ExploreOptions::default()
-                };
-                explore_with(&base, &kernels, &contexts, &weights, space, &opts)
-                    .expect("engine explores")
-            },
-            |r, events| EngineRow::from_exploration(name, r, events),
-        );
-    }
+    rows.record(
+        || {
+            // Built inside the recorded run so its recorder is the row's;
+            // a fresh run-local cache (`cache: None`) so the row does the
+            // full work.
+            let opts = ExploreOptions {
+                constraints,
+                objective,
+                ..ExploreOptions::default()
+            };
+            explore_with(&base, &kernels, &contexts, &weights, space, &opts)
+                .expect("engine explores")
+        },
+        |r, events| EngineRow::from_exploration("engine-1-thread", r, events),
+    );
     // Exploration is pinned to the 8×8 base: no geometry is selected.
     rows.measured(space_label, space.plans().count(), kernels.len(), 0)
 }
@@ -107,11 +103,8 @@ mod tests {
     fn benchmark_runs_and_engines_agree() {
         let report = measure("paper").unwrap().report;
         let names: Vec<&str> = report.engines.iter().map(|e| e.name.as_str()).collect();
-        assert_eq!(
-            names,
-            ["serial-reference", "engine-1-thread", "engine-parallel"]
-        );
-        // The engines agree exactly with the reference and report their
+        assert_eq!(names, ["serial-reference", "engine-1-thread"]);
+        // The engine agrees exactly with the reference and reports its
         // cuts.
         for row in &report.engines {
             assert_eq!(row.feasible, report.engines[0].feasible, "{}", row.name);

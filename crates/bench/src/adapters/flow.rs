@@ -9,28 +9,22 @@
 //! * `flow-paper` — the paper's 12-point space over **three candidate
 //!   geometries** (4×4, 6×6, 8×8) and the paper suite *plus* the
 //!   generated `matmul11` (`rsp_workload::generators`), which overflows
-//!   the 4×4 configuration cache: the serial geometry oracle no longer
-//!   early-exits at 4×4 — both paths walk to the 6×6 (the
-//!   `selected_pe_count: 36` anchor) — so the report covers real
-//!   multi-geometry work plus exact-stage refinement where exploration
-//!   itself is cheap.
+//!   the 4×4 configuration cache: base selection no longer stops at the
+//!   4×4 but walks on to the 6×6 (the `selected_pe_count: 36` anchor),
+//!   so the report covers real multi-geometry work plus exact-stage
+//!   refinement where exploration itself is cheap.
 //! * `flow-deep` — the 480-candidate deep space pinned to the paper's
 //!   8×8 base, with a wide estimation frontier for the exact stage
 //!   (`candidates_pruned` / `clock_bound_cuts` per row).
 //!
-//! Flow configurations run per space:
-//!
-//! * `serial-reference` — `parallelism: Some(1)`: the serial geometry
-//!   oracle, one-thread exploration, and serial exact rearrangement of
-//!   every frontier candidate.
-//! * `flow-parallel` — all cores.
-//!
-//! Both rows produce bit-identical flow outputs (property-tested in
-//! `rsp-core`) and record the same events — every `flow/rearrange` and
-//! `rearrange/schedule` span of the exact stage among them. This module
-//! also owns `measure_configs`, the scaffold the workload adapter
-//! ([`crate::adapters::workload`]) reuses — only the workload and the
-//! [`FlowConfig`] constructor differ between the two artifacts.
+//! Each label runs one row, `serial-reference`: the flow, which runs on
+//! its caller's thread, with exact rearrangement of every frontier
+//! candidate. Its events — every `flow/rearrange` and
+//! `rearrange/schedule` span of the exact stage among them — are the
+//! gate's work anchors. This module also owns `measure_configs`, the
+//! scaffold the workload adapter ([`crate::adapters::workload`]) reuses
+//! — only the workload and the [`FlowConfig`] constructor differ between
+//! the two artifacts.
 
 use super::{Measured, Rows};
 use crate::gate::EngineRow;
@@ -61,39 +55,35 @@ fn space_for(label: &str) -> Option<(DesignSpace, Vec<(usize, usize)>)> {
     }
 }
 
-fn config(label: &str, parallelism: Option<usize>) -> FlowConfig {
+fn config(label: &str) -> FlowConfig {
     let (space, geometries) = space_for(label).expect("known flow label");
     FlowConfig {
         coverage: 1.0,
         geometries,
         space,
         objective: Objective::AreaDelayProduct,
-        parallelism,
         ..FlowConfig::default()
     }
 }
 
-/// Runs the two tracked flow configurations (`serial-reference`,
-/// `flow-parallel`) over `apps` and assembles the report — the scaffold
-/// shared with the workload adapter; only the workload and the
-/// [`FlowConfig`] constructor differ between the artifacts.
+/// Runs the tracked flow row (`serial-reference`) over `apps` and
+/// assembles the report — the scaffold shared with the workload adapter;
+/// only the workload and the [`FlowConfig`] constructor differ between
+/// the artifacts.
 pub(crate) fn measure_configs(
     label: &str,
     apps: &[AppProfile],
     candidates: usize,
-    config: &dyn Fn(Option<usize>) -> FlowConfig,
+    config: &dyn Fn() -> FlowConfig,
 ) -> Measured {
     let mut rows = Rows::default();
-    let mut selected_pe_count = 0;
-    for (name, parallelism) in [("serial-reference", Some(1)), ("flow-parallel", None)] {
-        // The config is built inside the recorded run so its recorder is
-        // the row's.
-        let report = rows.record(
-            || run_flow(apps, &config(parallelism)).expect("flow runs"),
-            |r, events| EngineRow::from_flow(name, r, events),
-        );
-        selected_pe_count = report.base.geometry().pe_count();
-    }
+    // The config is built inside the recorded run so its recorder is the
+    // row's.
+    let report = rows.record(
+        || run_flow(apps, &config()).expect("flow runs"),
+        |r, events| EngineRow::from_flow("serial-reference", r, events),
+    );
+    let selected_pe_count = report.base.geometry().pe_count();
     let kernels = apps.iter().map(|a| a.kernels.len()).sum();
     rows.measured(label, candidates, kernels, selected_pe_count)
 }
@@ -107,7 +97,7 @@ pub fn measure(label: &str) -> Option<Measured> {
         label,
         &apps,
         space.plans().count(),
-        &|parallelism| config(label, parallelism),
+        &|| config(label),
     ))
 }
 
@@ -119,14 +109,12 @@ mod tests {
     fn flow_benchmark_runs_and_reports_cut_counters() {
         let report = measure("flow-paper").unwrap().report;
         let names: Vec<&str> = report.engines.iter().map(|e| e.name.as_str()).collect();
-        assert_eq!(names, ["serial-reference", "flow-parallel"]);
+        assert_eq!(names, ["serial-reference"]);
         // The generated matmul11 overflows the 4×4, so the multi-geometry
         // exploration escalates to the 6×6 — no more 4×4 early exit.
         assert_eq!(report.selected_pe_count, 36);
-        // Both rows run the one engine, so they report the same cuts.
-        let (serial, parallel) = (&report.engines[0], &report.engines[1]);
-        assert_eq!(serial.candidates_pruned, parallel.candidates_pruned);
-        assert!(parallel.clock_bound_cuts <= parallel.candidates_pruned);
+        let row = &report.engines[0];
+        assert!(row.clock_bound_cuts <= row.candidates_pruned);
         // Same artifact schema as the exploration benchmark.
         let json = serde_json::to_string_pretty(&report).unwrap();
         assert!(json.contains("refill_segments"));

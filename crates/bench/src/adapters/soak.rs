@@ -9,10 +9,12 @@
 //! resumed run no longer reaching the complete result, a faulted
 //! candidate leaking into the feasible set — fails CI.
 //!
-//! Every engine row is pinned to one thread. All budgets are
-//! **candidate counts**, never wall-clock: deadline truncation is
-//! inherently host-dependent, so it is exercised by the unit/property
-//! tests (`rsp-core/tests/anytime.rs`) rather than anchored here.
+//! Every engine row runs on one thread, as every exploration does; the
+//! `1-thread` row names are the committed artifact's row keys. All
+//! budgets are **candidate counts**, never wall-clock: deadline
+//! truncation is inherently host-dependent, so it is exercised by the
+//! unit/property tests (`rsp-core/tests/anytime.rs`) rather than
+//! anchored here.
 //!
 //! Rows of the one tracked label, `soak-deep`:
 //!
@@ -88,7 +90,6 @@ pub fn run() -> Measured {
     // Called inside each recorded run, so the options report to the
     // row's recorder.
     let opts = |control: ExploreControl| ExploreOptions {
-        parallelism: Some(1),
         control,
         ..ExploreOptions::default()
     };

@@ -19,8 +19,7 @@
 //! row, exact-drift-checked by the shared gate.
 //!
 //! One tracked label (`flow-workload`, the paper's 12-point space) with
-//! the same two configurations as the flow adapter: `serial-reference`
-//! and `flow-parallel`. Both rows produce bit-identical flow outputs.
+//! the same single row as the flow adapter: `serial-reference`.
 
 use super::flow::measure_configs;
 use super::Measured;
@@ -36,7 +35,7 @@ fn workload() -> Vec<AppProfile> {
     )]
 }
 
-fn config(parallelism: Option<usize>) -> FlowConfig {
+fn config() -> FlowConfig {
     FlowConfig {
         coverage: 1.0,
         // Genuinely multi-geometry: nothing pins the 8×8 — the suite
@@ -44,7 +43,6 @@ fn config(parallelism: Option<usize>) -> FlowConfig {
         geometries: vec![(4, 4), (6, 6), (8, 8)],
         space: DesignSpace::paper(),
         objective: Objective::AreaDelayProduct,
-        parallelism,
         // The suite-wide cap (rationale on the constant): the paper's
         // 1.5× would reject the whole space under matmul16's stall
         // estimates.
@@ -80,12 +78,11 @@ mod tests {
     fn workload_benchmark_selects_the_8x8_geometry() {
         let report = measure("flow-workload").unwrap().report;
         assert_eq!(report.selected_pe_count, 64);
-        assert_eq!(report.engines.len(), 2);
+        assert_eq!(report.engines.len(), 1);
         assert_eq!(report.engines[0].name, "serial-reference");
         assert_eq!(report.kernels, registry().len());
-        // matmul16 forces the exact stage through the schedule splitter
-        // on every row: the refill anchors the gate enforces are
-        // nonzero.
+        // matmul16 forces the exact stage through the schedule splitter:
+        // the refill anchors the gate enforces are nonzero.
         for e in &report.engines {
             assert!(e.refill_segments > 0, "{}: no refill segments", e.name);
             assert!(e.refill_stall_cycles > 0, "{}: no refill stalls", e.name);

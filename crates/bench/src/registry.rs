@@ -302,7 +302,7 @@ fn builtin_defs() -> Vec<BenchDef> {
             title: "exploration engine vs serial reference",
             workload: "paper kernel suite (9 kernels), uniform weights, 8x8 base",
             space: "extended (48 candidates) + deep (480 candidates)",
-            engines: &["serial-reference", "engine-1-thread", "engine-parallel"],
+            engines: &["serial-reference", "engine-1-thread"],
             anchors: &["feasible", "candidates_pruned", "explore/prune"],
             labels: &["extended", "deep"],
             measure: adapters::explore::measure,
@@ -313,12 +313,12 @@ fn builtin_defs() -> Vec<BenchDef> {
             title: "exploration of the mixed 11,024-candidate space",
             workload: "paper kernel suite (9 kernels), uniform weights, 8x8 base",
             space: "deep100 (11,024 mixed Mult x Alu x Shifter candidates)",
-            engines: &["serial-reference", "engine-parallel"],
+            engines: &["serial-reference"],
             anchors: &[
                 "candidates_seen=11024",
                 "candidates_pruned",
                 "clock_bound_cuts",
-                "parallel frontier bit-identical to the one-thread frontier (asserted while measuring)",
+                "explore/prune",
             ],
             labels: &["deep100"],
             measure: adapters::deep100::measure,
@@ -326,10 +326,10 @@ fn builtin_defs() -> Vec<BenchDef> {
         BenchDef {
             id: "rsp/flow",
             artifact: "BENCH_flow.json",
-            title: "end-to-end Fig. 7 flow, serial vs parallel",
+            title: "end-to-end Fig. 7 flow with exact rearrangement",
             workload: "paper suite + generated matmul11 (overflows the 4x4 cache)",
             space: "flow-paper (12 candidates, 3 geometries) + flow-deep (480, 8x8)",
-            engines: &["serial-reference", "flow-parallel"],
+            engines: &["serial-reference"],
             anchors: &[
                 "feasible",
                 "selected_pe_count",
@@ -347,7 +347,7 @@ fn builtin_defs() -> Vec<BenchDef> {
             title: "Fig. 7 flow over the generated workload suite",
             workload: "generated suite (workloads/, incl. matmul16 + reduce8192x8x8)",
             space: "flow-workload (12 candidates, 3 geometries; suite selects the 8x8)",
-            engines: &["serial-reference", "flow-parallel"],
+            engines: &["serial-reference"],
             anchors: &[
                 "feasible",
                 "selected_pe_count=64",

@@ -10,13 +10,14 @@
 //!
 //! # Engine architecture
 //!
-//! [`explore_with`] is a parallel, allocation-free engine; [`explore`] is
-//! a thin compatibility wrapper over it, and [`explore_reference`] keeps
-//! the original textbook serial implementation as the oracle the engine
-//! is property-tested against (and the `serial-reference` row of the
-//! tracked `BENCH_explore.json`, whose result anchors the engine rows
-//! must match). The engine differs from the reference in *mechanics
-//! only* — its results are bit-identical:
+//! [`explore_with`] is an allocation-free engine that runs on its
+//! caller's thread; [`explore`] is a thin compatibility wrapper over
+//! it, and [`explore_reference`] keeps the original textbook serial
+//! implementation as the oracle the engine is property-tested against
+//! (and the `serial-reference` row of the tracked `BENCH_explore.json`,
+//! whose result anchors the engine row must match). The engine differs
+//! from the reference in *mechanics only* — its results are
+//! bit-identical:
 //!
 //! * **Shared base, no deep clones** — candidates hold the base array
 //!   behind one `Arc` ([`rsp_arch::RspArchitecture::base_arc`]) instead
@@ -49,12 +50,14 @@
 //!   the floor never exceeds the clock, so term-wise under IEEE-754
 //!   rounding a clock-cut candidate's estimated time violates the bound
 //!   as well, and the reference rejects every cut candidate too.
-//! * **Deterministic parallel map** — candidates are pulled in
-//!   enumeration order in fixed-size chunks ([`CHUNK`]); each chunk is
-//!   one order-preserving map over the rayon pool, merged serially in
-//!   enumeration order, so the feasible set, Pareto frontier, and
-//!   selected optimum are identical for any thread count, including
-//!   `parallelism = Some(1)`.
+//! * **One thread per request** — candidates are pulled in enumeration
+//!   order in fixed-size chunks ([`CHUNK`]); each chunk is evaluated in
+//!   order (the `explore/prepare` span) and then merged in order (the
+//!   `explore/screen` span), so the feasible set, Pareto frontier, and
+//!   selected optimum are the serial reference's. A candidate costs
+//!   microseconds of closed-form work, so a thread fan-out per chunk
+//!   costs more than it saves: the engine spawns no threads, and a
+//!   server gets its parallelism by answering several requests at once.
 //! * **Streaming frontier** — feasible points stream into a
 //!   [`crate::ParetoFrontier`], which emits the final Pareto set
 //!   incrementally. Its emission is proven (and property-tested)
@@ -70,11 +73,10 @@
 //!   serialized with [`Exploration::checkpoint`] and continued with
 //!   [`explore_resume`] to the bit-identical complete result.
 //! * **Panic isolation** — each candidate's evaluation runs under
-//!   `catch_unwind` inside the parallel map; a candidate whose synthesis
-//!   or estimation panics is counted in [`PruneStats::faulted`] and
-//!   skipped instead of poisoning the whole sweep. Surviving results are
-//!   unaffected: a faulted candidate contributes nothing, exactly as if
-//!   it had been rejected.
+//!   `catch_unwind`; a candidate whose synthesis or estimation panics is
+//!   counted in [`PruneStats::faulted`] and skipped instead of poisoning
+//!   the whole sweep. Surviving results are unaffected: a faulted
+//!   candidate contributes nothing, exactly as if it had been rejected.
 //!
 //! The cuts are observable: [`Exploration::stats`] reports candidates
 //! seen, pruned, clock-cut, and faulted ([`PruneStats`]).
@@ -83,7 +85,6 @@ use crate::control::{Completeness, ControlClock, ExploreControl, TruncationReaso
 use crate::error::RspError;
 use crate::estimate::{estimate_stalls_dense, ContextProfile};
 use crate::frontier::{pareto_indices_of, ParetoFrontier};
-use rayon::prelude::*;
 use rsp_arch::{BaseArchitecture, FuKind, RspArchitecture, SharedGroup, SharingPlan};
 use rsp_kernel::Kernel;
 use rsp_mapper::ConfigContext;
@@ -317,9 +318,10 @@ pub enum Objective {
 /// Options for [`explore_with`].
 #[derive(Debug, Clone)]
 pub struct ExploreOptions {
-    /// Worker threads for candidate evaluation. `None` uses every
-    /// available core; `Some(1)` runs in-thread. Results are identical
-    /// either way.
+    /// Ignored: every exploration runs on its caller's thread. The
+    /// field stays only because the benchmark package sets it; the next
+    /// change to the benchmark removes it, like
+    /// [`profiles`](Self::profiles).
     pub parallelism: Option<usize>,
     /// Feasibility constraints.
     pub constraints: Constraints,
@@ -565,7 +567,7 @@ impl ExploreCheckpoint {
 }
 
 /// Explores `space` for the given kernels (with execution-frequency
-/// weights) over `base`, using the parallel engine with default options.
+/// weights) over `base`, using the engine with default options.
 ///
 /// `contexts` must be the kernels' initial configuration contexts on
 /// `base`, in the same order as `kernels`.
@@ -630,15 +632,15 @@ pub fn explore(
     )
 }
 
-/// Candidates per parallel map. A chunk is assembled by pulling
-/// candidates one at a time — checking the control before every pull —
-/// and then evaluated as one order-preserving map, so a stop lands at an
-/// exact candidate boundary and is noticed within one chunk's work.
+/// Candidates per chunk. A chunk is assembled by pulling candidates one
+/// at a time — checking the control before every pull — and then
+/// evaluated in order, so a stop lands at an exact candidate boundary
+/// and is noticed within one chunk's work.
 /// Results never depend on the chunk size: no candidate's outcome
 /// depends on another's.
 const CHUNK: usize = 64;
 
-/// What the per-candidate map settled for one candidate.
+/// What evaluation settled for one candidate.
 enum Outcome {
     /// Passed every constraint; joins the feasible set.
     Feasible(DesignPoint),
@@ -655,8 +657,8 @@ enum Outcome {
     Faulted,
 }
 
-/// The parallel exploration engine. See the module docs for the
-/// guarantees; [`explore`] forwards here.
+/// The exploration engine. See the module docs for the guarantees;
+/// [`explore`] forwards here.
 ///
 /// # Errors
 ///
@@ -790,9 +792,9 @@ fn explore_engine(
     }
     drop(base_span);
 
-    // One profile per kernel, built once per call and shared read-only
-    // by all workers. Profiles cover every kind the space can share,
-    // grid or mix.
+    // One profile per kernel, built once per call and read by every
+    // candidate. Profiles cover every kind the space can share, grid or
+    // mix.
     let profile_span = Span::enter(obs, "explore", "profile", 0);
     let profile_kinds = space.kinds_used();
     let profiles: Vec<ContextProfile> = contexts
@@ -801,11 +803,6 @@ fn explore_engine(
         .map(|(ctx, k)| ContextProfile::new(ctx, k, &profile_kinds))
         .collect();
     drop(profile_span);
-
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(options.parallelism.unwrap_or(0))
-        .build()
-        .expect("thread pool");
 
     // Settles one candidate from its own data alone (see the module
     // docs). The estimate's weighted time is accumulated in the
@@ -914,18 +911,14 @@ fn explore_engine(
         stats.candidates_seen += chunk.len();
 
         let prepare_span = Span::enter(obs, "explore", "prepare", chunk_index);
-        let outcomes: Vec<Outcome> = pool.install(|| {
-            chunk
-                .into_par_iter()
-                // Panic isolation *inside* the per-item closure: the
-                // vendored rayon joins its workers with `expect`, so a
-                // panic escaping the closure would abort the whole
-                // sweep instead of poisoning one candidate.
-                .map(|plan| {
-                    catch_unwind(AssertUnwindSafe(|| evaluate(plan))).unwrap_or(Outcome::Faulted)
-                })
-                .collect()
-        });
+        // Panic isolation per candidate: a panic faults that candidate
+        // only, never the sweep.
+        let outcomes: Vec<Outcome> = chunk
+            .into_iter()
+            .map(|plan| {
+                catch_unwind(AssertUnwindSafe(|| evaluate(plan))).unwrap_or(Outcome::Faulted)
+            })
+            .collect();
         drop(prepare_span);
 
         // Ordered merge: identical to what the serial reference pushes.
@@ -1496,9 +1489,8 @@ mod tests {
         assert_eq!(r.feasible.len(), 12);
     }
 
-    /// Runs the engine at several thread counts and asserts each run is
-    /// bit-identical to the serial reference on `space`; returns the
-    /// last engine run.
+    /// Asserts the engine is bit-identical to the serial reference on
+    /// `space`; returns the engine run.
     fn assert_engine_matches_reference(space: &DesignSpace) -> Exploration {
         let (base, kernels, contexts, weights) = setup();
         let reference = explore_reference(
@@ -1511,34 +1503,27 @@ mod tests {
             Objective::AreaDelayProduct,
         )
         .unwrap();
-        let mut last = None;
-        for parallelism in [Some(1), Some(3), None] {
-            let engine = explore_with(
-                &base,
-                &kernels,
-                &contexts,
-                &weights,
-                space,
-                &ExploreOptions {
-                    parallelism,
-                    ..ExploreOptions::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(engine.feasible.len(), reference.feasible.len());
-            for (e, r) in engine.feasible.iter().zip(&reference.feasible) {
-                assert_eq!(e.arch.name(), r.arch.name());
-                assert_eq!(e.area_slices.to_bits(), r.area_slices.to_bits());
-                assert_eq!(e.clock_ns.to_bits(), r.clock_ns.to_bits());
-                assert_eq!(e.est_cycles, r.est_cycles);
-                assert_eq!(e.est_et_ns.to_bits(), r.est_et_ns.to_bits());
-            }
-            assert_eq!(engine.pareto, reference.pareto);
-            assert_eq!(engine.best, reference.best);
-            assert_eq!(engine.base_et_ns.to_bits(), reference.base_et_ns.to_bits());
-            last = Some(engine);
+        let engine = explore_with(
+            &base,
+            &kernels,
+            &contexts,
+            &weights,
+            space,
+            &ExploreOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(engine.feasible.len(), reference.feasible.len());
+        for (e, r) in engine.feasible.iter().zip(&reference.feasible) {
+            assert_eq!(e.arch.name(), r.arch.name());
+            assert_eq!(e.area_slices.to_bits(), r.area_slices.to_bits());
+            assert_eq!(e.clock_ns.to_bits(), r.clock_ns.to_bits());
+            assert_eq!(e.est_cycles, r.est_cycles);
+            assert_eq!(e.est_et_ns.to_bits(), r.est_et_ns.to_bits());
         }
-        last.unwrap()
+        assert_eq!(engine.pareto, reference.pareto);
+        assert_eq!(engine.best, reference.best);
+        assert_eq!(engine.base_et_ns.to_bits(), reference.base_et_ns.to_bits());
+        engine
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! The Fig. 7 design flow, end to end — pruned and parallel.
+//! The Fig. 7 design flow, end to end — pruned, on its caller's thread.
 //!
 //! ```text
 //! applications ──> Profiling ──> critical loops
 //!                      │
 //!                      v
 //!        Base Architecture Exploration ──> base architecture
-//!                      │    (parallel fan-out over candidate
-//!                      │     geometries; serial early-exit path kept
-//!                      │     as the property-tested oracle)
+//!                      │    (candidate geometries smallest first,
+//!                      │     stopping at the first that holds every
+//!                      │     critical loop)
 //!                      v
 //!              Pipeline Mapping ──> initial configuration contexts
 //!                      │
@@ -20,9 +20,12 @@
 //!                 RSP Mapping ──> RSP configuration contexts
 //!                           (+ exact performance, Tables 4/5)
 //!                      ^    exact rearrangement refines the frontier:
-//!                      │    each candidate's kernels fan out over
-//!                      │    the pool
+//!                      │    every kernel of every candidate, in
+//!                      │    ascending-area order
 //! ```
+//!
+//! A flow runs on the thread that calls [`run_flow`] and spawns none; a
+//! server gets its parallelism by answering several requests at once.
 //!
 //! Profiling is modelled on synthetic application profiles: each
 //! application lists its kernels with execution counts; a kernel's weight
@@ -51,7 +54,6 @@ use crate::explore::{
 };
 use crate::perf::{perf_from_rearranged_with, KernelPerf};
 use crate::rearrange::{rearrange, RearrangeOptions, Rearranged};
-use rayon::prelude::*;
 use rsp_arch::{ArrayGeometry, BaseArchitecture, BusSpec, PeDesign, RspArchitecture, SharingPlan};
 use rsp_kernel::Kernel;
 use rsp_mapper::{map, ConfigContext, MapOptions};
@@ -98,9 +100,9 @@ pub struct FlowConfig {
     pub objective: Objective,
     /// Mapper options.
     pub map_options: MapOptions,
-    /// Worker threads for geometry exploration, RSP exploration, and
-    /// exact RSP mapping (`None` = all cores; `Some(1)` runs the serial
-    /// oracle paths; results are identical either way).
+    /// Ignored, like [`FlowConfig::profiles`]: every flow runs on its
+    /// caller's thread. The field stays only because the benchmark
+    /// package sets it; the next change to the benchmark removes it.
     pub parallelism: Option<usize>,
     /// Synthesis-report memo shared across flows (default `None` = one
     /// fresh cache per exploration, exactly as before). When set, both
@@ -118,9 +120,9 @@ pub struct FlowConfig {
     /// (default: unlimited). The deadline and cancel flag are checked in
     /// every phase; the candidate budget is shared by the exploration
     /// and exact-rearrangement phases (an exploration candidate and an
-    /// exact frontier candidate each consume one unit), so
-    /// budget-truncated flows are reproducible for every `parallelism`.
-    /// A truncated flow reports best-so-far results tagged
+    /// exact frontier candidate each consume one unit), so a
+    /// budget-truncated flow stops at the same candidate on every run
+    /// and machine. A truncated flow reports best-so-far results tagged
     /// [`FlowReport::completeness`]; a flow stopped before any usable
     /// result fails with [`RspError::Interrupted`].
     pub control: ExploreControl,
@@ -159,10 +161,10 @@ pub struct CriticalLoop {
 }
 
 /// Per-stage work counters of one flow run (see the module docs for the
-/// stages). Counters describe *work performed*, not results: the serial
-/// geometry oracle early-exits while the parallel fan-out maps every
-/// geometry, so `geometries_explored` may differ between the two even
-/// though every result field of the [`FlowReport`] is bit-identical.
+/// stages). Counters describe *work performed*, not results: base
+/// selection stops at the first feasible geometry, so
+/// `geometries_explored` counts the geometries up to and including the
+/// chosen one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlowStats {
     /// Candidate geometries the configuration offered.
@@ -223,7 +225,7 @@ pub struct FlowReport {
     pub area_slices: f64,
     /// Area of the base design (slices).
     pub base_area_slices: f64,
-    /// Per-stage pruning/parallelism work counters.
+    /// Per-stage pruning work counters.
     pub stats: FlowStats,
     /// Whether every phase processed its whole candidate stream, or the
     /// flow's [`ExploreControl`] stopped it early. A truncated flow's
@@ -278,63 +280,31 @@ fn map_geometry(
 }
 
 /// Base-architecture exploration: the smallest candidate geometry whose
-/// mapped schedules fit the configuration cache. `Some(1)` parallelism
-/// runs the serial early-exit oracle; otherwise every geometry is mapped
-/// concurrently on the pool and the first feasible one in ascending-size
-/// order is selected — the same choice the oracle makes, property-tested
-/// bit-identical. Returns the choice plus how many geometries were
-/// actually attempted.
+/// mapped schedules fit the configuration cache. Geometries are mapped
+/// in ascending-size order, stopping at the first feasible one. Returns
+/// the choice plus how many geometries were attempted.
 ///
-/// Checks `clock` at geometry boundaries (serial oracle) or once before
-/// the fan-out: a deadline/cancel/zero-budget stop before a base is
-/// found fails with [`RspError::Interrupted`] — no later phase can run
-/// without a base. The candidate budget is otherwise not consumed here,
-/// so budget-truncated flows stay reproducible across `parallelism`
-/// settings (the two paths attempt different geometry counts).
-#[allow(clippy::type_complexity)]
+/// Checks `clock` before each geometry: a deadline/cancel/zero-budget
+/// stop before a base is found fails with [`RspError::Interrupted`] — no
+/// later phase can run without a base. The candidate budget is
+/// otherwise not consumed here: it counts exploration and exact-stage
+/// candidates only.
 fn select_base(
     config: &FlowConfig,
     loops: &[CriticalLoop],
-    pool: &rayon::ThreadPool,
     clock: &ControlClock,
 ) -> Result<(BaseArchitecture, Vec<ConfigContext>, usize), RspError> {
     let mut geometries = config.geometries.clone();
     geometries.sort_by_key(|&(r, c)| r * c);
-    if config.parallelism == Some(1) {
-        // Serial oracle: stop at the first feasible geometry.
-        for (attempted, &(r, c)) in geometries.iter().enumerate() {
-            if let Some(reason) = clock.stop_reason(0) {
-                return Err(RspError::Interrupted { reason });
-            }
-            if let Some((base, contexts)) = map_geometry(r, c, config, loops) {
-                return Ok((base, contexts, attempted + 1));
-            }
-        }
-        Err(RspError::NoFeasibleDesign)
-    } else {
+    for (attempted, &(r, c)) in geometries.iter().enumerate() {
         if let Some(reason) = clock.stop_reason(0) {
             return Err(RspError::Interrupted { reason });
         }
-        // Maps every geometry: the vendored rayon subset has no
-        // `find_first`, so the tail cannot be cancelled once an
-        // earlier-indexed geometry succeeds, and when the smallest
-        // geometry is feasible the fan-out maps geometries the serial
-        // oracle never attempts (`FlowStats::geometries_explored`);
-        // switch to `find_first` if the real rayon ever backs the stub.
-        let attempted = geometries.len();
-        let candidates: Vec<Option<(BaseArchitecture, Vec<ConfigContext>)>> = pool.install(|| {
-            geometries
-                .into_par_iter()
-                .map(|(r, c)| map_geometry(r, c, config, loops))
-                .collect()
-        });
-        candidates
-            .into_iter()
-            .flatten()
-            .next()
-            .map(|(base, contexts)| (base, contexts, attempted))
-            .ok_or(RspError::NoFeasibleDesign)
+        if let Some((base, contexts)) = map_geometry(r, c, config, loops) {
+            return Ok((base, contexts, attempted + 1));
+        }
     }
+    Err(RspError::NoFeasibleDesign)
 }
 
 /// Runs the complete Fig. 7 flow over a set of domain applications.
@@ -405,22 +375,15 @@ pub fn run_flow(apps: &[AppProfile], config: &FlowConfig) -> Result<FlowReport, 
         return Err(RspError::EmptyProfile);
     }
 
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(config.parallelism.unwrap_or(0))
-        .build()
-        .expect("thread pool");
-
     // One clock over the whole flow: the deadline spans every phase,
     // and the candidate budget is spent across exploration + exact
     // rearrangement.
     let clock = ControlClock::new(&config.control);
 
-    // 2. Base architecture exploration (parallel fan-out over candidate
-    //    geometries; serial early-exit oracle under `Some(1)`).
+    // 2. Base architecture exploration: the smallest feasible geometry.
     stats.geometries_considered = config.geometries.len();
     let base_span = Span::enter(obs, "flow", "select_base", 0);
-    let (base, contexts, geometries_explored) =
-        select_base(config, &critical_loops, &pool, &clock)?;
+    let (base, contexts, geometries_explored) = select_base(config, &critical_loops, &clock)?;
     drop(base_span);
     stats.geometries_explored = geometries_explored;
 
@@ -438,17 +401,16 @@ pub fn run_flow(apps: &[AppProfile], config: &FlowConfig) -> Result<FlowReport, 
         &kernel_weights,
         &config.space,
         &ExploreOptions {
-            parallelism: config.parallelism,
             constraints: config.constraints,
             objective: config.objective,
             cache: config.cache.clone(),
-            profiles: None,
             control: ExploreControl {
                 deadline: clock.remaining_deadline(),
                 candidate_budget: config.control.candidate_budget,
                 cancel: config.control.cancel_handle(),
             },
             recorder: Arc::clone(&config.recorder),
+            ..ExploreOptions::default()
         },
     )?;
     drop(explore_span);
@@ -459,10 +421,8 @@ pub fn run_flow(apps: &[AppProfile], config: &FlowConfig) -> Result<FlowReport, 
     let explored_candidates = exploration.stats.candidates_seen;
 
     // 4. RSP mapping: exact rearrangement refines the estimation Pareto
-    //    frontier. Candidates are processed serially in ascending-area
-    //    order (so the budget and the tie rule see the same sequence at
-    //    every thread count); each candidate's per-kernel
-    //    rearrangements fan out over the pool.
+    //    frontier. Candidates are processed in ascending-area order, the
+    //    order the budget and the tie rule are defined on.
     let delay = DelayModel::new();
     let score_of = |area: f64, et: f64| match config.objective {
         Objective::AreaDelayProduct => area * et,
@@ -508,26 +468,25 @@ pub fn run_flow(apps: &[AppProfile], config: &FlowConfig) -> Result<FlowReport, 
             }
             continue;
         };
-        let ctx_refs: Vec<&ConfigContext> = contexts.iter().collect();
-        let rearranged: Vec<Result<(Rearranged, KernelPerf), RspError>> = pool.install(|| {
-            ctx_refs
-                .into_par_iter()
-                .map(|ctx| {
-                    // catch_unwind *inside* the worker closure: the
-                    // vendored rayon would abort on an escaped panic.
-                    catch_unwind(AssertUnwindSafe(|| {
-                        let r = rearrange(ctx, &point.arch, &RearrangeOptions::default())?;
-                        let p = perf_from_rearranged_with(ctx, &point.arch, &delay_report, &r);
-                        Ok((r, p))
-                    }))
-                    .unwrap_or_else(|_| {
-                        Err(RspError::CandidateFaulted {
-                            name: point.arch.name().to_string(),
-                        })
+        // Every kernel is rearranged, even after one fails: the first
+        // failure in kernel order decides the candidate, and the work
+        // done (`rearrange/schedule` events) does not depend on where it
+        // fell.
+        let rearranged: Vec<Result<(Rearranged, KernelPerf), RspError>> = contexts
+            .iter()
+            .map(|ctx| {
+                catch_unwind(AssertUnwindSafe(|| {
+                    let r = rearrange(ctx, &point.arch, &RearrangeOptions::default())?;
+                    let p = perf_from_rearranged_with(ctx, &point.arch, &delay_report, &r);
+                    Ok((r, p))
+                }))
+                .unwrap_or_else(|_| {
+                    Err(RspError::CandidateFaulted {
+                        name: point.arch.name().to_string(),
                     })
                 })
-                .collect()
-        });
+            })
+            .collect();
         let mut rsp = Vec::with_capacity(contexts.len());
         let mut perf = Vec::with_capacity(contexts.len());
         let mut failure = None;
@@ -689,6 +648,11 @@ mod tests {
             report.stats.frontier_candidates,
             report.exploration.pareto.len()
         );
+        // Untruncated, the exact stage settles every frontier candidate.
+        assert_eq!(
+            report.stats.rearranged_candidates + report.stats.rearrangements_failed,
+            report.stats.frontier_candidates
+        );
     }
 
     #[test]
@@ -768,23 +732,32 @@ mod tests {
     }
 
     #[test]
-    fn serial_oracle_early_exits_but_chooses_identically() {
-        // The serial path stops at the first feasible geometry; the
-        // parallel path maps them all. Same base either way.
-        let cfg = |parallelism| FlowConfig {
-            geometries: vec![(4, 4), (6, 6), (8, 8)],
-            parallelism,
+    fn base_selection_stops_at_the_first_feasible_geometry() {
+        // Geometries are tried smallest first, whatever the listed order,
+        // and the first that holds every loop ends the search.
+        let cfg = FlowConfig {
+            geometries: vec![(8, 8), (6, 6), (4, 4)],
             ..FlowConfig::default()
         };
-        let apps = domain_apps();
-        let serial = run_flow(&apps, &cfg(Some(1))).unwrap();
-        let parallel = run_flow(&apps, &cfg(None)).unwrap();
-        assert_eq!(
-            serial.base.geometry().pe_count(),
-            parallel.base.geometry().pe_count()
-        );
-        assert_eq!(parallel.stats.geometries_explored, 3);
-        assert!(serial.stats.geometries_explored <= 3);
+        let report = run_flow(&domain_apps(), &cfg).unwrap();
+        assert_eq!(report.base.geometry().pe_count(), 16);
+        assert_eq!(report.stats.geometries_considered, 3);
+        assert_eq!(report.stats.geometries_explored, 1);
+
+        // A 11×11 matmul overflows the 4×4 cache: the search moves on to
+        // the 6×6 and never maps the 8×8.
+        let mut apps = domain_apps();
+        apps.push(AppProfile::new(
+            "matmul",
+            vec![(rsp_workload::generators::matmul(11), 1)],
+        ));
+        let cfg = FlowConfig {
+            coverage: 1.0,
+            ..cfg
+        };
+        let report = run_flow(&apps, &cfg).unwrap();
+        assert_eq!(report.base.geometry().pe_count(), 36);
+        assert_eq!(report.stats.geometries_explored, 2);
     }
 
     #[test]
@@ -885,42 +858,33 @@ mod tests {
     }
 
     #[test]
-    fn flow_budget_truncation_is_reproducible_across_parallelism() {
+    fn flow_budget_truncation_keeps_the_best_so_far() {
         // One unit past the exploration phase: the exact stage processes
         // exactly one frontier candidate. The truncated report is
-        // best-so-far, tagged Truncated, and bit-identical for any
-        // parallelism (the budget is machine-independent).
+        // best-so-far and tagged Truncated.
         let space_total = FlowConfig::default().space.plans().count();
-        let cfg = |parallelism| FlowConfig {
-            parallelism,
+        let cfg = FlowConfig {
             control: ExploreControl::with_budget(space_total + 1),
             ..FlowConfig::default()
         };
-        let serial = run_flow(&domain_apps(), &cfg(Some(1))).unwrap();
-        let parallel = run_flow(&domain_apps(), &cfg(None)).unwrap();
-        for report in [&serial, &parallel] {
-            assert!(
-                matches!(
-                    report.completeness,
-                    Completeness::Truncated {
-                        reason: TruncationReason::CandidateBudget,
-                        ..
-                    }
-                ),
-                "{:?}",
-                report.completeness
-            );
-            // The exploration itself completed; only the exact stage was
-            // cut short.
-            assert!(report.exploration.completeness.is_complete());
-            assert_eq!(report.stats.rearranged_candidates, 1);
-        }
-        assert_eq!(serial.chosen.name(), parallel.chosen.name());
-        assert_eq!(serial.area_slices.to_bits(), parallel.area_slices.to_bits());
-        assert_eq!(
-            serial.weighted_et_ns().to_bits(),
-            parallel.weighted_et_ns().to_bits()
+        let report = run_flow(&domain_apps(), &cfg).unwrap();
+        assert!(
+            matches!(
+                report.completeness,
+                Completeness::Truncated {
+                    reason: TruncationReason::CandidateBudget,
+                    ..
+                }
+            ),
+            "{:?}",
+            report.completeness
         );
+        // The exploration itself completed; only the exact stage was cut
+        // short, after the smallest-area frontier candidate.
+        assert!(report.exploration.completeness.is_complete());
+        assert_eq!(report.stats.rearranged_candidates, 1);
+        let smallest = report.exploration.pareto_points().next().unwrap();
+        assert_eq!(report.chosen.name(), smallest.arch.name());
 
         // An ample budget reproduces the unbudgeted flow.
         let ample = FlowConfig {

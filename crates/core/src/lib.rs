@@ -30,7 +30,7 @@
 //!   seen, pruned and clock-cut in [`Exploration::stats`]
 //!   ([`PruneStats`]).
 //! * [`run_flow`] — the whole Fig. 7 flow: profiling → critical loops →
-//!   base architecture (parallel fan-out over candidate geometries) →
+//!   base architecture (the smallest candidate geometry that fits) →
 //!   pipeline mapping → RSP exploration → RSP mapping with exact
 //!   performance, where the exact stage rearranges every estimation
 //!   Pareto candidate and selects on exact times. Per-stage work

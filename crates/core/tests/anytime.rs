@@ -43,13 +43,8 @@ fn fixture() -> &'static (BaseArchitecture, Vec<Kernel>, Vec<ConfigContext>) {
 
 fn options(control: ExploreControl) -> ExploreOptions {
     ExploreOptions {
-        parallelism: Some(3),
-        constraints: Constraints::default(),
-        objective: Objective::AreaDelayProduct,
-        cache: None,
-        profiles: None,
         control,
-        recorder: rsp_core::obs::global(),
+        ..ExploreOptions::default()
     }
 }
 

@@ -8,8 +8,7 @@
 use proptest::prelude::*;
 use rsp_arch::{presets, BaseArchitecture};
 use rsp_core::{
-    explore_with, run_flow, AppProfile, Constraints, DesignSpace, Exploration, ExploreOptions,
-    FlowConfig, Objective,
+    explore_with, run_flow, AppProfile, DesignSpace, Exploration, ExploreOptions, FlowConfig,
 };
 use rsp_kernel::Kernel;
 use rsp_mapper::{map, ConfigContext, MapOptions};
@@ -76,24 +75,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Exploration under every recorder reproduces the NullRecorder
-    /// run bit for bit, across thread counts and both paper and extended
-    /// spaces.
+    /// run bit for bit, over both paper and extended spaces.
     #[test]
     fn exploration_is_bit_identical_under_any_recorder(
-        threads in 1usize..=4,
         extended in any::<bool>(),
     ) {
         let (base, kernels, contexts) = fixture();
         let weights = vec![1.0; kernels.len()];
         let space = if extended { DesignSpace::extended() } else { DesignSpace::paper() };
         let options = |recorder: Arc<dyn Recorder>| ExploreOptions {
-            parallelism: Some(threads),
-            constraints: Constraints::default(),
-            objective: Objective::AreaDelayProduct,
-            cache: None,
-            profiles: None,
-            control: Default::default(),
             recorder,
+            ..ExploreOptions::default()
         };
         let reference = explore_with(
             base, kernels, contexts, &weights, &space, &options(Arc::new(NullRecorder)),

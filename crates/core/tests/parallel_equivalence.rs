@@ -1,8 +1,8 @@
-//! Property tests: the parallel exploration engine is *bit-identical* to
-//! the serial reference implementation — same feasible set (order, cycle
+//! Property tests: the exploration engine is *bit-identical* to the
+//! serial reference implementation — same feasible set (order, cycle
 //! estimates, and exact f64 bit patterns), same Pareto frontier, same
-//! selected optimum — for any thread count, over both the paper's space
-//! and the extended ablation space.
+//! selected optimum — over both the paper's space and the extended
+//! ablation space.
 
 use proptest::prelude::*;
 use rsp_arch::{presets, BaseArchitecture};
@@ -79,11 +79,10 @@ fn arb_space() -> impl Strategy<Value = DesignSpace> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any thread count × objective × slowdown bound reproduces the
-    /// reference exploration bit for bit.
+    /// Any objective × space × slowdown bound × cost bound reproduces
+    /// the reference exploration bit for bit.
     #[test]
     fn engine_is_bit_identical_to_reference(
-        threads in 1usize..=8,
         objective in arb_objective(),
         space in arb_space(),
         slowdown_pct in 101u32..=300,
@@ -101,13 +100,9 @@ proptest! {
         let engine = explore_with(
             base, kernels, contexts, &weights, &space,
             &ExploreOptions {
-                parallelism: Some(threads),
                 constraints,
                 objective,
-                cache: None,
-                profiles: None,
-                control: Default::default(),
-                recorder: rsp_core::obs::global(),
+                ..ExploreOptions::default()
             },
         );
         match (reference, engine) {

@@ -23,10 +23,9 @@ fn kernels() -> Vec<Kernel> {
 
 /// Mapping is a pure function of `(base, kernel, options)`: repeated
 /// calls — including calls racing on separate threads — produce
-/// identical contexts. This is the property the flow's parallel
-/// multi-geometry fan-out rests on: fanning `map` out over candidate
-/// geometries cannot produce a different context than the serial oracle
-/// obtains for the same geometry.
+/// identical contexts. This is the property concurrent served requests
+/// rest on: server workers mapping at once, onto any geometry, get the
+/// context a lone call gets.
 #[test]
 fn mapping_is_deterministic_across_threads_and_geometries() {
     let geometries = [(4usize, 4usize), (6, 6), (8, 8)];

@@ -292,7 +292,9 @@ fn worker_loop(rx: &Arc<Mutex<Receiver<QueuedConn>>>, ctx: &ServerCtx, stop: &At
 /// Serves one connection until the peer closes it or shutdown is
 /// requested. Frames by `\n` with a manual byte buffer (a blocking
 /// `BufReader::read_line` could hold a partial line across the read
-/// timeout and lose it).
+/// timeout and lose it). Each received byte is searched for the newline
+/// once, so a line that arrives in many reads costs time linear in its
+/// length.
 fn serve_connection(mut stream: TcpStream, ctx: &ServerCtx, stop: &AtomicBool) {
     if stream.set_read_timeout(Some(READ_POLL)).is_err() {
         return;
@@ -305,10 +307,17 @@ fn serve_connection(mut stream: TcpStream, ctx: &ServerCtx, stop: &AtomicBool) {
         match stream.read(&mut chunk) {
             Ok(0) => return, // peer closed
             Ok(n) => {
+                // Whatever is still buffered was searched on an earlier
+                // read and holds no newline: search only the new bytes.
+                let mut scanned = pending.len();
                 pending.extend_from_slice(&chunk[..n]);
-                while let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-                    let line: Vec<u8> = pending.drain(..=pos).collect();
-                    let line = String::from_utf8_lossy(&line[..line.len() - 1]);
+                // Bytes of the complete lines handled so far, drained
+                // once per read.
+                let mut consumed = 0;
+                while let Some(offset) = pending[scanned..].iter().position(|&b| b == b'\n') {
+                    let end = scanned + offset;
+                    let line = String::from_utf8_lossy(&pending[consumed..end]);
+                    (consumed, scanned) = (end + 1, end + 1);
                     let line = line.trim();
                     if line.is_empty() {
                         continue;
@@ -338,6 +347,7 @@ fn serve_connection(mut stream: TcpStream, ctx: &ServerCtx, stop: &AtomicBool) {
                         });
                     }
                 }
+                pending.drain(..consumed);
             }
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>

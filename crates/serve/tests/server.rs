@@ -464,3 +464,58 @@ fn prewarmed_session_is_visible_through_the_wire() {
     assert!(after.model_hits > before.model_hits);
     server.shutdown();
 }
+
+#[test]
+fn split_and_coalesced_writes_get_the_replies_of_whole_writes() {
+    use rsp_serve::proto::{Envelope, PROTOCOL_VERSION};
+    use std::io::{BufRead, BufReader, Write};
+
+    let server = Server::spawn(ServeConfig::default()).unwrap();
+    let line = |id, body| {
+        let env = Envelope {
+            v: PROTOCOL_VERSION,
+            id,
+            body,
+        };
+        serde_json::to_string(&env).unwrap() + "\n"
+    };
+    let explore = line(1, explore_request());
+    let ping = line(2, Request::Ping);
+    // Sends `writes` on a fresh connection, one write each, and reads
+    // `replies` reply lines back.
+    let exchange = |writes: &[&[u8]], replies: usize| -> Vec<String> {
+        let mut raw = std::net::TcpStream::connect(server.addr()).unwrap();
+        raw.set_nodelay(true).unwrap();
+        // A lost line fails the test instead of hanging it.
+        raw.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+            .unwrap();
+        for bytes in writes {
+            raw.write_all(bytes).unwrap();
+        }
+        let mut reader = BufReader::new(raw);
+        (0..replies)
+            .map(|_| {
+                let mut reply = String::new();
+                reader.read_line(&mut reply).unwrap();
+                reply
+            })
+            .collect()
+    };
+
+    let whole = [
+        exchange(&[explore.as_bytes()], 1),
+        exchange(&[ping.as_bytes()], 1),
+    ]
+    .concat();
+    assert!(whole[0].contains("Explored"), "{}", whole[0]);
+    assert!(whole[1].contains("Pong"), "{}", whole[1]);
+
+    // One byte per write: the line is reassembled across many reads.
+    let bytes: Vec<&[u8]> = explore.as_bytes().chunks(1).collect();
+    assert_eq!(exchange(&bytes, 1), whole[..1]);
+
+    // Two requests in one write: both are answered, in order.
+    let both = explore.clone() + &ping;
+    assert_eq!(exchange(&[both.as_bytes()], 2), whole);
+    server.shutdown();
+}
