@@ -3,13 +3,14 @@
 //! Every artifact the registry tracks ([`crate::registry`]) uses the
 //! same shape: [`BenchReport`]s of [`EngineRow`]s, each row an exact
 //! record of one run — its correctness anchors (feasible-design counts,
-//! pruning and refill counters, the selected base geometry) and the
-//! work it did, as the count and delta sum of every `(target, name)`
-//! event it recorded ([`EventCount`]). Nothing in an artifact is a
-//! timing, so nothing in it depends on the host. [`check_with`] is the
-//! gate shared by all of them: it re-runs every committed report and
-//! fails on any field that differs at all. The methodology is
-//! documented in `crates/bench/METHODOLOGY.md`.
+//! pruning and refill counters, the estimation frontier and the pick,
+//! the selected base geometry) and the work it did, as the count and
+//! delta sum of every `(target, name)` event it recorded
+//! ([`EventCount`]). Nothing in an artifact is a timing, so nothing in
+//! it depends on the host. [`check_with`] is the gate shared by all of
+//! them: it re-runs every committed report and fails on any field that
+//! differs at all. The methodology is documented in
+//! `crates/bench/METHODOLOGY.md`.
 
 use rsp_core::{Exploration, FlowReport};
 use serde::{Deserialize, Serialize};
@@ -46,6 +47,14 @@ pub struct EngineRow {
     pub refill_segments: usize,
     /// Flow rows only: refill-stall cycles those splits charged.
     pub refill_stall_cycles: u64,
+    /// The estimation Pareto frontier, smallest area first: one
+    /// `"{name} {area_slices:?} {est_et_ns:?}"` entry per point. Floats
+    /// print shortest round-trip, so equal text is equal bits.
+    pub frontier: Vec<String>,
+    /// The selected design: the exploration's best point, or the flow's
+    /// exactly chosen architecture (empty when a truncated exploration
+    /// found none).
+    pub selected: String,
     /// Every event the run recorded — the work it did, counted: chunks
     /// prepared, candidates pruned, flow phases, scheduler passes,
     /// served requests.
@@ -63,6 +72,10 @@ impl EngineRow {
             clock_bound_cuts: run.stats.clock_bound_cuts,
             refill_segments: 0,
             refill_stall_cycles: 0,
+            frontier: frontier_of(run),
+            selected: run
+                .try_best_point()
+                .map_or_else(String::new, |p| p.arch.name().to_string()),
             events,
         }
     }
@@ -77,6 +90,8 @@ impl EngineRow {
             clock_bound_cuts: report.stats.clock_bound_cuts,
             refill_segments: report.stats.refill_segments,
             refill_stall_cycles: report.stats.refill_stall_cycles,
+            frontier: frontier_of(&report.exploration),
+            selected: report.chosen.name().to_string(),
             events,
         }
     }
@@ -84,15 +99,25 @@ impl EngineRow {
     /// The one-line anchor summary `--run` prints.
     pub fn summary(&self) -> String {
         format!(
-            "{} feasible, {}/{} pruned [{} clock-cut], {} refills/{} stall-cyc",
+            "{} feasible, {}/{} pruned [{} clock-cut], {} refills/{} stall-cyc, \
+             {}-point frontier, selects {}",
             self.feasible,
             self.candidates_pruned,
             self.candidates_seen,
             self.clock_bound_cuts,
             self.refill_segments,
             self.refill_stall_cycles,
+            self.frontier.len(),
+            self.selected,
         )
     }
+}
+
+/// One [`EngineRow::frontier`] entry per Pareto point of `run`.
+fn frontier_of(run: &Exploration) -> Vec<String> {
+    run.pareto_points()
+        .map(|p| format!("{} {:?} {:?}", p.arch.name(), p.area_slices, p.est_et_ns))
+        .collect()
 }
 
 /// Every engine row over one benchmark configuration.
@@ -242,6 +267,19 @@ fn diff_rows(at: &str, old: &EngineRow, new: &EngineRow, drifts: &mut Vec<String
     for (field, was, now) in fields {
         if was != now {
             drifts.push(format!("{at}: {field} {was} → {now}"));
+        }
+    }
+    if old.selected != new.selected {
+        drifts.push(format!(
+            "{at}: selected {} → {}",
+            old.selected, new.selected
+        ));
+    }
+    let entry = |frontier: &[String], i: usize| frontier.get(i).cloned().unwrap_or("-".into());
+    for i in 0..old.frontier.len().max(new.frontier.len()) {
+        let (was, now) = (entry(&old.frontier, i), entry(&new.frontier, i));
+        if was != now {
+            drifts.push(format!("{at}: frontier[{i}] {was} → {now}"));
         }
     }
     let kinds: BTreeSet<&String> = old.events.keys().chain(new.events.keys()).collect();

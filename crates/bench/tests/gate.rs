@@ -85,3 +85,37 @@ fn a_bumped_event_count_fails_naming_its_event() {
         )]
     );
 }
+
+#[test]
+fn a_changed_frontier_entry_or_pick_fails_naming_its_row() {
+    let def = registry().find("rsp/explore").unwrap();
+    let artifact = paper_artifact();
+    let row = &artifact.reports[0].engines[1];
+    assert!(!row.frontier.is_empty() && !row.selected.is_empty());
+
+    // An estimate that drifts while every count stays put still fails.
+    let mut drifted = artifact.clone();
+    let entry = &mut drifted.reports[0].engines[1].frontier[0];
+    let now = entry.clone();
+    entry.push('1');
+    let committed = entry.clone();
+    let outcome = def.check(&drifted);
+    assert_eq!(
+        outcome.drifts,
+        [format!(
+            "paper/engine-1-thread: frontier[0] {committed} → {now}"
+        )]
+    );
+
+    // So does a different pick.
+    let mut repicked = artifact;
+    let now = repicked.reports[0].engines[0].selected.clone();
+    repicked.reports[0].engines[0].selected = "RS(shr=9,shc=9,st=1)".into();
+    let outcome = def.check(&repicked);
+    assert_eq!(
+        outcome.drifts,
+        [format!(
+            "paper/serial-reference: selected RS(shr=9,shc=9,st=1) → {now}"
+        )]
+    );
+}
