@@ -59,11 +59,14 @@
 //! context, never on the candidate plan, so it is profiled once: the
 //! word-packed [`CycleDemand`] is reduced — branch-free popcounts per
 //! row ([`rsp_mapper::CycleView::row_count`]) — into per-suffix tables
-//! `(tᵢ, Sᵢ, Mʳᵢ, Mᶜᵢ)`. Every candidate then evaluates the floor in
-//! O(non-empty cycles) with three divisions per cycle: no per-candidate
-//! allocation, no dense `cycles × rows × cols` histogram. Because the
-//! estimate is itself a lower bound, the exploration engine cuts
-//! candidates on it directly.
+//! `(tᵢ, Sᵢ, Mʳᵢ, Mᶜᵢ)`. One group's floor is then one pass over those
+//! tables with three divisions per entry, and no dense
+//! `cycles × rows × cols` histogram is ever built. A group's floor
+//! depends only on `(kind, shr, shc)`, so the exploration engine
+//! computes it once per distinct triple of its space
+//! ([`ContextProfile::exec_floor`]) and settles every candidate from
+//! those values. Because the estimate is itself a lower bound, the
+//! engine cuts candidates on it directly.
 
 use rsp_arch::{FuKind, RspArchitecture, SharingPlan};
 use rsp_kernel::Kernel;
@@ -251,16 +254,29 @@ impl ContextProfile {
         self.total_cycles
     }
 
+    /// The slack-aware execution floor `kind`'s demand alone imposes on a
+    /// plan that shares it with `shr` resources per row bank and `shc`
+    /// per column bank; 0 when the kind has no demand. A plan's floor in
+    /// [`estimate`](Self::estimate) is the base length or the largest of
+    /// its groups' floors, whichever is greater, and a group's floor
+    /// depends on neither its pipeline depth nor the plan's other groups:
+    /// an exploration tabulates it once per distinct `(kind, shr, shc)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kind` was not profiled.
+    pub fn exec_floor(&self, kind: FuKind, shr: usize, shc: usize) -> u32 {
+        self.slack_profile(kind)
+            .expect("shared kind was profiled for this exploration")
+            .exec_floor(shr as u32, shc as u32)
+    }
+
     /// The slack-aware execution-cycle floor for a candidate plan: the
-    /// base length or the largest per-group suffix floor, whichever is
-    /// greater.
+    /// base length or the largest per-group floor, whichever is greater.
     fn exec_cycles_floor(&self, plan: &SharingPlan) -> u32 {
         let mut exec = self.total_cycles;
         for g in plan.groups() {
-            let slack = self
-                .slack_profile(g.kind())
-                .expect("shared kind was profiled for this exploration");
-            exec = exec.max(slack.exec_floor(g.per_row() as u32, g.per_col() as u32));
+            exec = exec.max(self.exec_floor(g.kind(), g.per_row(), g.per_col()));
         }
         exec
     }

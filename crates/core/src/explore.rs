@@ -10,9 +10,8 @@
 //!
 //! # Engine architecture
 //!
-//! [`explore_with`] is an allocation-free engine that runs on its
-//! caller's thread; [`explore`] is a thin compatibility wrapper over
-//! it, and [`explore_reference`] keeps the original textbook serial
+//! [`explore_with`] is the engine, and it runs on its caller's thread;
+//! [`explore`] is a thin compatibility wrapper over it, and [`explore_reference`] keeps the original textbook serial
 //! implementation as the oracle the engine is property-tested against
 //! (and the `serial-reference` row of the tracked `BENCH_explore.json`,
 //! whose result anchors the engine row must match). The engine differs
@@ -22,28 +21,39 @@
 //! * **Shared base, no deep clones** — candidates hold the base array
 //!   behind one `Arc` ([`rsp_arch::RspArchitecture::base_arc`]) instead
 //!   of cloning geometry + PE + bus tables per plan.
-//! * **Memoized synthesis** — area/clock reports come from a
-//!   [`rsp_synth::ModelCache`] keyed by `(geometry, plan)`, i.e. by
-//!   `(kind, shr, shc, stages)` for single-group spaces. Pass one cache
-//!   via [`ExploreOptions::cache`] to share it across repeated
-//!   explorations, which then never re-synthesize a plan they have seen.
-//! * **Profiled demand, suffix tables** — each kernel's per-cycle
-//!   demand for every shared kind in the space is profiled once per
-//!   call (the `explore/profile` span) into a word-packed bit-plane
-//!   [`rsp_mapper::CycleDemand`] with precomputed slack suffix tables;
-//!   a candidate's RS estimate is an O(non-empty cycles) sweep over
-//!   those tables ([`crate::ContextProfile`]). Nothing of size
-//!   `cycles × rows × cols` is ever allocated. Profiles are not
-//!   memoized across calls: a key would read the whole context and
-//!   cost as much as the build.
+//! * **One decomposition, walked** — the space is decomposed once into
+//!   per-axis option lists (the grid's groups; each mix axis's
+//!   "unshared" slot plus its valid groups), the same decomposition
+//!   [`DesignSpace::plans`] walks. A candidate is a mixed-radix position
+//!   in it: the count is closed-form, and a resumed run seeks straight
+//!   to its cursor.
+//! * **Tables, built once per exploration** — each kernel's demand for
+//!   every shared kind in the space is profiled once (the
+//!   `explore/profile` span) into a [`crate::ContextProfile`], and each
+//!   kernel's slack floor is computed once per distinct
+//!   `(kind, shr, shc)` of the space
+//!   ([`ContextProfile::exec_floor`](crate::ContextProfile::exec_floor)),
+//!   since it depends on neither the pipeline depth nor the other
+//!   groups. Each option stores its floor row, its clock-floor term
+//!   ([`rsp_synth::DelayModel::group_clock_floor_ns`]) and, in a mix,
+//!   its name fragments. A candidate's name is its fragments joined, its
+//!   estimate per kernel is `max(T, its floors)` plus the refill charge,
+//!   and its clock floor the largest of its terms: table lookups, no
+//!   suffix sweep. Profiles are not memoized across calls: a key would
+//!   read the whole context and cost as much as the build.
+//! * **Direct synthesis** — a candidate's area and clock come straight
+//!   from the [`AreaModel`]/[`DelayModel`] of [`ExploreOptions::cache`]:
+//!   both are closed-form, and a memo hit (a cloned plan key, a hash and
+//!   a lock) costs more than either. The cache memoizes only the base
+//!   plan, so an exploration makes one `ModelCache` query.
 //! * **Two cuts, one candidate at a time** — the estimate is admissible
 //!   (see [`crate::estimate`]), so a candidate is settled by a function
-//!   of that candidate alone, in this order: build it and query its
-//!   area through the memoized fast path; reject it on eq. (2)'s cost
-//!   bound; estimate its cycles; multiply them by the admissible
-//!   stage-structure clock floor (`ModelCache::clock_floor`) and cut it
-//!   when that floored time already violates `max_slowdown`, before
-//!   its delay is ever synthesized ([`PruneStats::clock_bound_cuts`]);
+//!   of that candidate alone, in this order: build it and synthesize its
+//!   area; reject it on eq. (2)'s cost bound; estimate its cycles;
+//!   multiply them by the admissible stage-structure clock floor
+//!   ([`DelayModel::clock_floor_ns`], read from the tables) and cut it
+//!   when that floored time already violates `max_slowdown`, before its
+//!   delay is ever synthesized ([`PruneStats::clock_bound_cuts`]);
 //!   otherwise synthesize its clock and cut it when its estimated time
 //!   violates `max_slowdown`. Both cuts count in
 //!   [`PruneStats::candidates_pruned`], and neither changes a result:
@@ -83,7 +93,7 @@
 
 use crate::control::{Completeness, ControlClock, ExploreControl, TruncationReason};
 use crate::error::RspError;
-use crate::estimate::{estimate_stalls_dense, ContextProfile};
+use crate::estimate::{estimate_stalls_dense, refill_stall_estimate, ContextProfile};
 use crate::frontier::{pareto_indices_of, ParetoFrontier};
 use rsp_arch::{BaseArchitecture, FuKind, RspArchitecture, SharedGroup, SharingPlan};
 use rsp_kernel::Kernel;
@@ -91,6 +101,8 @@ use rsp_mapper::ConfigContext;
 use rsp_obs::{Recorder, Span, Value};
 use rsp_synth::{AreaModel, DelayModel, ModelCache};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -223,63 +235,188 @@ impl DesignSpace {
     /// single-kind grid (one shared group per plan), then each mix's
     /// cross product as multi-group plans. Invalid parameter
     /// combinations (e.g. pipeline stages on a non-pipelinable kind, or
-    /// a kind repeated within one mix) are skipped.
+    /// a kind repeated within one mix) are skipped. This is the order
+    /// the exploration engine visits candidates in.
     pub fn plans(&self) -> impl Iterator<Item = SharingPlan> + '_ {
-        let grid = self.shared_kinds.iter().flat_map(move |&kind| {
-            self.stages.iter().flat_map(move |&stages| {
-                self.shr.iter().flat_map(move |&shr| {
-                    self.shc.iter().filter_map(move |&shc| {
-                        if shr == 0 && shc == 0 {
-                            return None;
+        let axes = Axes::new(self);
+        let mut walk = axes.walk_from(0);
+        std::iter::from_fn(move || walk.next(&axes).map(|picks| axes.plan(picks)))
+    }
+}
+
+/// A design space decomposed into per-axis option lists: the one
+/// enumeration behind [`DesignSpace::plans`], the engine's candidate
+/// walk and the closed-form candidate count.
+///
+/// Axis 0 is the single-kind grid; each of its groups is one candidate.
+/// Every other axis is one kind of one mix, and a mix's candidates are
+/// its mixed-radix product: each axis is either unshared (digit 0) or
+/// shares its `digit − 1`-th group, the first axis varying fastest,
+/// skipping the all-unshared base plan and any combination that shares
+/// one kind twice.
+#[derive(Debug, Clone)]
+struct Axes {
+    /// Each axis's valid groups, in enumeration order.
+    options: Vec<Vec<SharedGroup>>,
+    /// Each mix's axes (a range of `options`) and its mixed-radix size.
+    mixes: Vec<(Range<usize>, usize)>,
+}
+
+/// A cursor into a space's candidate sequence (see [`Axes`]).
+#[derive(Debug, Clone)]
+struct Walk {
+    /// 0 for the grid, `1 + m` for mix `m`.
+    segment: usize,
+    /// The next grid option, or the next mixed-radix index of the mix.
+    index: usize,
+    /// The current candidate's `(axis, option)` picks.
+    picks: Vec<(usize, usize)>,
+}
+
+impl Axes {
+    fn new(space: &DesignSpace) -> Self {
+        let groups = |kind: FuKind, stages: &[u8], shr: &[usize], shc: &[usize]| {
+            let mut out = Vec::new();
+            for &stages in stages {
+                for &shr in shr {
+                    for &shc in shc {
+                        if let Ok(g) = SharedGroup::new(kind, shr, shc, stages) {
+                            out.push(g);
                         }
-                        let g = SharedGroup::new(kind, shr, shc, stages).ok()?;
-                        // Single-group plans never collide.
-                        Some(SharingPlan::none().with_group(g).expect("single group"))
-                    })
-                })
-            })
-        });
-        let mixed = self.mixes.iter().flat_map(|mix| {
-            // Per-axis options: slot 0 is "unshared", the rest are the
-            // axis's valid (stages, shr, shc) groups. The tiny option
-            // tables are materialized up front; the (possibly huge)
-            // cross product stays a lazy mixed-radix index walk.
-            let axes: Vec<Vec<Option<SharedGroup>>> = mix
-                .iter()
-                .map(|axis| {
-                    let mut options = vec![None];
-                    for &stages in &axis.stages {
-                        for &shr in &axis.shr {
-                            for &shc in &axis.shc {
-                                if shr == 0 && shc == 0 {
-                                    continue;
-                                }
-                                if let Ok(g) = SharedGroup::new(axis.kind, shr, shc, stages) {
-                                    options.push(Some(g));
-                                }
-                            }
-                        }
-                    }
-                    options
-                })
-                .collect();
-            let total: usize = axes.iter().map(Vec::len).product();
-            // Index 0 decodes to every axis unshared (the base plan);
-            // every index ≥ 1 yields at least one shared group.
-            (1..total).filter_map(move |index| {
-                let mut plan = SharingPlan::none();
-                let mut rest = index;
-                for options in &axes {
-                    let pick = rest % options.len();
-                    rest /= options.len();
-                    if let Some(g) = options[pick] {
-                        plan = plan.with_group(g).ok()?;
                     }
                 }
-                Some(plan)
+            }
+            out
+        };
+        let grid = space
+            .shared_kinds
+            .iter()
+            .flat_map(|&kind| groups(kind, &space.stages, &space.shr, &space.shc))
+            .collect();
+        let mut options = vec![grid];
+        let mut mixes = Vec::with_capacity(space.mixes.len());
+        for mix in &space.mixes {
+            let first = options.len();
+            for axis in mix {
+                options.push(groups(axis.kind, &axis.stages, &axis.shr, &axis.shc));
+            }
+            let radix = options[first..].iter().map(|o| o.len() + 1).product();
+            mixes.push((first..options.len(), radix));
+        }
+        Axes { options, mixes }
+    }
+
+    /// How many candidates the space holds, in closed form: the grid's
+    /// groups, plus for each mix the product over its kinds of "unshared
+    /// or one of this kind's groups" (a kind on several axes is shared by
+    /// at most one of them), minus the all-unshared plan.
+    fn count(&self) -> usize {
+        self.options[0].len()
+            + self
+                .mixes
+                .iter()
+                .map(|mix| self.mix_count(mix))
+                .sum::<usize>()
+    }
+
+    fn mix_count(&self, (axes, _): &(Range<usize>, usize)) -> usize {
+        let mut per_kind: Vec<(FuKind, usize)> = Vec::new();
+        for options in &self.options[axes.clone()] {
+            let Some(kind) = options.first().map(SharedGroup::kind) else {
+                continue;
+            };
+            match per_kind.iter_mut().find(|(k, _)| *k == kind) {
+                Some((_, n)) => *n += options.len(),
+                None => per_kind.push((kind, options.len())),
+            }
+        }
+        per_kind.iter().map(|(_, n)| n + 1).product::<usize>() - 1
+    }
+
+    /// A walk positioned before candidate `cursor`: whole segments are
+    /// skipped by their counts, and inside a mix that skips no
+    /// combination the cursor is the mixed-radix index itself.
+    fn walk_from(&self, cursor: usize) -> Walk {
+        let mut walk = Walk {
+            segment: 0,
+            index: cursor,
+            picks: Vec::new(),
+        };
+        let mut rest = cursor;
+        if rest < self.options[0].len() {
+            return walk;
+        }
+        rest -= self.options[0].len();
+        for (m, mix) in self.mixes.iter().enumerate() {
+            let count = self.mix_count(mix);
+            if rest < count {
+                walk.segment = m + 1;
+                walk.index = 1;
+                if count == mix.1 - 1 {
+                    walk.index += rest;
+                } else {
+                    for _ in 0..rest {
+                        walk.next(self);
+                    }
+                }
+                return walk;
+            }
+            rest -= count;
+        }
+        walk.segment = self.mixes.len() + 1;
+        walk
+    }
+
+    /// The plan of one candidate's picks.
+    fn plan(&self, picks: &[(usize, usize)]) -> SharingPlan {
+        picks
+            .iter()
+            .fold(SharingPlan::none(), |plan, &(axis, option)| {
+                plan.with_group(self.options[axis][option])
+                    .expect("a walk never shares one kind twice")
             })
-        });
-        grid.chain(mixed)
+    }
+}
+
+impl Walk {
+    /// Advances to the next candidate and returns its picks; `None` past
+    /// the last one.
+    fn next(&mut self, axes: &Axes) -> Option<&[(usize, usize)]> {
+        loop {
+            self.picks.clear();
+            if self.segment == 0 {
+                if self.index < axes.options[0].len() {
+                    self.picks.push((0, self.index));
+                    self.index += 1;
+                    return Some(&self.picks);
+                }
+                (self.segment, self.index) = (1, 1);
+            }
+            let (range, radix) = axes.mixes.get(self.segment - 1)?;
+            if self.index >= *radix {
+                (self.segment, self.index) = (self.segment + 1, 1);
+                continue;
+            }
+            let mut rest = self.index;
+            self.index += 1;
+            let mut repeats_a_kind = false;
+            for axis in range.clone() {
+                let options = &axes.options[axis];
+                let digit = rest % (options.len() + 1);
+                rest /= options.len() + 1;
+                if digit > 0 {
+                    let kind = options[digit - 1].kind();
+                    repeats_a_kind |= self
+                        .picks
+                        .iter()
+                        .any(|&(a, o)| axes.options[a][o].kind() == kind);
+                    self.picks.push((axis, digit - 1));
+                }
+            }
+            if !repeats_a_kind {
+                return Some(&self.picks);
+            }
+        }
     }
 }
 
@@ -327,11 +464,14 @@ pub struct ExploreOptions {
     pub constraints: Constraints,
     /// Selection objective.
     pub objective: Objective,
-    /// Synthesis-report memo to use. Pass one shared [`ModelCache`] when
-    /// exploring overlapping spaces repeatedly (every plan is synthesized
-    /// exactly once across all runs that share it); `None` builds a
-    /// run-local cache, which still deduplicates the base plan and any
-    /// plans repeated within the space.
+    /// Synthesis models and report memo. The exploration synthesizes
+    /// every candidate directly through the cache's
+    /// [`area_model`](ModelCache::area_model) and
+    /// [`delay_model`](ModelCache::delay_model), so a cache built with
+    /// custom models ([`ModelCache::with_models`], a custom library or a
+    /// fault hook) shapes every candidate. It memoizes only the base
+    /// plan's reports: one query per exploration. `None` uses the
+    /// paper's models through a run-local cache.
     pub cache: Option<Arc<ModelCache>>,
     /// Ignored: every exploration builds each kernel's profile once
     /// (see [`ProfileCache`]). The field stays only because the
@@ -398,7 +538,7 @@ pub struct PruneStats {
     pub candidates_pruned: usize,
     /// Subset of `candidates_pruned` cut by the stage-structure clock
     /// floor *before* delay synthesis — these candidates never reached
-    /// the `ModelCache` delay path at all.
+    /// the delay model at all.
     pub clock_bound_cuts: usize,
     /// Candidates whose evaluation panicked (isolated by
     /// `catch_unwind`) and were skipped instead of aborting the sweep.
@@ -744,11 +884,13 @@ pub fn explore_resume(
     )
 }
 
-/// Shared engine behind [`explore_with`] and [`explore_resume`].
-fn explore_engine(
+/// Shared engine behind [`explore_with`], [`explore_resume`] and
+/// [`Session::explore`](crate::Session::explore), which hands over the
+/// contexts its memo holds without copying them.
+pub(crate) fn explore_engine<C: Borrow<ConfigContext>>(
     base: &BaseArchitecture,
     kernels: &[Kernel],
-    contexts: &[ConfigContext],
+    contexts: &[C],
     weights: &[f64],
     space: &DesignSpace,
     options: &ExploreOptions,
@@ -776,12 +918,13 @@ fn explore_engine(
     let base_et: f64 = contexts
         .iter()
         .zip(weights)
-        .map(|(c, w)| w * c.total_cycles() as f64 * base_clock)
+        .map(|(c, w)| w * c.borrow().total_cycles() as f64 * base_clock)
         .sum();
     require_work(base_et)?;
     let et_bound = constraints.max_slowdown * base_et;
 
-    let candidates_total = space.plans().count();
+    let axes = Axes::new(space);
+    let candidates_total = axes.count();
     let fingerprint = EngineFingerprint {
         objective: options.objective,
         constraints: *constraints,
@@ -792,36 +935,35 @@ fn explore_engine(
     }
     drop(base_span);
 
-    // One profile per kernel, built once per call and read by every
-    // candidate. Profiles cover every kind the space can share, grid or
-    // mix.
+    // One profile per kernel, covering every kind the space can share,
+    // grid or mix, reduced at once into the tables every candidate
+    // reads.
     let profile_span = Span::enter(obs, "explore", "profile", 0);
     let profile_kinds = space.kinds_used();
     let profiles: Vec<ContextProfile> = contexts
         .iter()
         .zip(kernels)
-        .map(|(ctx, k)| ContextProfile::new(ctx, k, &profile_kinds))
+        .map(|(ctx, k)| ContextProfile::new(ctx.borrow(), k, &profile_kinds))
         .collect();
+    let tables = Tables::new(&axes, &profiles, models.delay_model());
     drop(profile_span);
 
-    // Settles one candidate from its own data alone (see the module
+    // Settles one candidate from its own picks alone (see the module
     // docs). The estimate's weighted time is accumulated in the
     // reference's association order, `w · cycles · clock` per kernel,
     // once with the clock floor and once with the synthesized clock.
-    let evaluate = |plan: SharingPlan| -> Outcome {
-        let name = plan_name(&plan);
-        let Ok(arch) = RspArchitecture::new(name, Arc::clone(&base), plan) else {
+    let (area_model, delay_model) = (models.area_model(), models.delay_model());
+    let evaluate = |picks: &[(usize, usize)]| -> Outcome {
+        let name = tables.name(&axes, picks);
+        let Ok(arch) = RspArchitecture::new(name, Arc::clone(&base), axes.plan(picks)) else {
             return Outcome::Reject;
         };
-        let area = models.area_report(&arch);
+        let area = area_model.report(&arch);
         let cost_bound_ok = area.satisfies_cost_bound();
         if constraints.enforce_cost_bound && !cost_bound_ok {
             return Outcome::Reject;
         }
-        let est_cycles: Vec<u32> = profiles
-            .iter()
-            .map(|profile| profile.estimate(arch.plan(), cache_depth).total_cycles)
-            .collect();
+        let est_cycles = tables.est_cycles(picks, cache_depth);
         let weighted_et = |clock_ns: f64| {
             let mut et = 0.0;
             for (c, w) in est_cycles.iter().zip(weights) {
@@ -829,10 +971,10 @@ fn explore_engine(
             }
             et
         };
-        if weighted_et(models.clock_floor(&arch)) > et_bound {
+        if weighted_et(tables.clock_floor_ns(picks)) > et_bound {
             return Outcome::ClockCut;
         }
-        let clock_ns = models.reports(&arch).1.clock_ns;
+        let clock_ns = delay_model.report(&arch).clock_ns;
         let est_et_ns = weighted_et(clock_ns);
         if est_et_ns > et_bound {
             return Outcome::SlowdownCut;
@@ -857,7 +999,7 @@ fn explore_engine(
     // architectures rebuilt from the recorded plans), the frontier
     // (re-inserting the same point sequence reproduces the exact
     // staircase), and the pruning counters — then continue the
-    // candidate stream past the cursor.
+    // candidate walk from the cursor.
     let start_cursor = resume.map_or(0, |c| c.cursor);
     if let Some(ckpt) = resume {
         for p in &ckpt.points {
@@ -880,7 +1022,7 @@ fn explore_engine(
         stats.clock_bound_cuts = ckpt.clock_bound_cuts;
         stats.faulted = ckpt.faulted;
     }
-    let mut plans = space.plans().skip(start_cursor);
+    let mut walk = axes.walk_from(start_cursor);
 
     let clock = ControlClock::new(&options.control);
     // Candidates pulled by *this call* (a resumed call's budget is
@@ -890,33 +1032,31 @@ fn explore_engine(
     let mut chunk_index = 0u64;
 
     loop {
-        // Assemble the next chunk, checking the control before each
-        // pull so truncation lands exactly at a candidate boundary.
-        let mut chunk: Vec<SharingPlan> = Vec::with_capacity(CHUNK);
-        while chunk.len() < CHUNK {
-            if let Some(reason) = clock.stop_reason(consumed + chunk.len()) {
+        // Size the next chunk, checking the control before each
+        // candidate so truncation lands exactly at a candidate boundary.
+        let remaining = candidates_total - stats.candidates_seen;
+        let mut size = 0;
+        while size < CHUNK.min(remaining) {
+            if let Some(reason) = clock.stop_reason(consumed + size) {
                 truncation = Some(reason);
                 break;
             }
-            match plans.next() {
-                Some(plan) => chunk.push(plan),
-                None => break,
-            }
+            size += 1;
         }
-        if chunk.is_empty() {
+        if size == 0 {
             break;
         }
-        consumed += chunk.len();
+        consumed += size;
         let chunk_start = stats.candidates_seen;
-        stats.candidates_seen += chunk.len();
+        stats.candidates_seen += size;
 
         let prepare_span = Span::enter(obs, "explore", "prepare", chunk_index);
         // Panic isolation per candidate: a panic faults that candidate
         // only, never the sweep.
-        let outcomes: Vec<Outcome> = chunk
-            .into_iter()
-            .map(|plan| {
-                catch_unwind(AssertUnwindSafe(|| evaluate(plan))).unwrap_or(Outcome::Faulted)
+        let outcomes: Vec<Outcome> = (0..size)
+            .map(|_| {
+                let picks = walk.next(&axes).expect("the count covers every candidate");
+                catch_unwind(AssertUnwindSafe(|| evaluate(picks))).unwrap_or(Outcome::Faulted)
             })
             .collect();
         drop(prepare_span);
@@ -990,6 +1130,136 @@ fn explore_engine(
         completeness,
         fingerprint,
     })
+}
+
+/// What settling a candidate reads, tabulated once per exploration from
+/// the space's [`Axes`]: per axis option, its floor row, clock-floor
+/// term and name fragments; per distinct `(kind, shr, shc)`, each
+/// kernel's slack floor. A candidate's estimate is then
+/// `max(base cycles, its options' floors)` per kernel, and its clock
+/// floor the largest of its options' terms.
+struct Tables {
+    /// Per axis, per option: the option's terms.
+    options: Vec<Vec<OptionTerms>>,
+    /// Each kernel's slack floor under each distinct `(kind, shr, shc)`,
+    /// one row of `base_cycles.len()` entries per triple.
+    floors: Vec<u32>,
+    /// Each kernel's base-schedule length.
+    base_cycles: Vec<u32>,
+}
+
+/// One axis option's terms (see [`Tables`]).
+struct OptionTerms {
+    /// The option's row of [`Tables::floors`].
+    row: usize,
+    /// [`DelayModel::group_clock_floor_ns`] of its group.
+    clock_floor_ns: f64,
+    /// Mix options: the group's [`group_name`], alone and tagged with its
+    /// kind (see [`plan_name`]). Grid options leave both empty: each grid
+    /// name is used once, so it is formatted per candidate instead.
+    name: String,
+    tagged: String,
+}
+
+impl Tables {
+    fn new(axes: &Axes, profiles: &[ContextProfile], delay: &DelayModel) -> Self {
+        let mut triples: Vec<(FuKind, usize, usize)> = Vec::new();
+        let options = axes
+            .options
+            .iter()
+            .enumerate()
+            .map(|(axis, groups)| {
+                groups
+                    .iter()
+                    .map(|g| {
+                        let triple = (g.kind(), g.per_row(), g.per_col());
+                        let row = triples
+                            .iter()
+                            .position(|t| *t == triple)
+                            .unwrap_or_else(|| {
+                                triples.push(triple);
+                                triples.len() - 1
+                            });
+                        let (name, tagged) = if axis == 0 {
+                            (String::new(), String::new())
+                        } else {
+                            let name = group_name(g);
+                            let tagged = format!("{:?}:{name}", g.kind());
+                            (name, tagged)
+                        };
+                        OptionTerms {
+                            row,
+                            clock_floor_ns: delay.group_clock_floor_ns(g),
+                            name,
+                            tagged,
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let floors = triples
+            .iter()
+            .flat_map(|&(kind, shr, shc)| {
+                profiles.iter().map(move |p| p.exec_floor(kind, shr, shc))
+            })
+            .collect();
+        Tables {
+            options,
+            floors,
+            base_cycles: profiles.iter().map(ContextProfile::total_cycles).collect(),
+        }
+    }
+
+    /// Each kernel's estimated cycles under the plan of `picks`: the
+    /// larger of its base length and the picks' slack floors, plus the
+    /// refill charge of a `cache_depth`-deep cache. This is
+    /// [`ContextProfile::estimate`]'s `total_cycles`, read from the
+    /// tables.
+    fn est_cycles(&self, picks: &[(usize, usize)], cache_depth: u32) -> Vec<u32> {
+        let kernels = self.base_cycles.len();
+        let rows = || {
+            picks
+                .iter()
+                .map(|&(axis, option)| self.options[axis][option].row)
+        };
+        (0..kernels)
+            .map(|k| {
+                let exec = rows().fold(self.base_cycles[k], |exec, row| {
+                    exec.max(self.floors[row * kernels + k])
+                });
+                exec + refill_stall_estimate(exec, cache_depth)
+            })
+            .collect()
+    }
+
+    /// The plan of `picks`' clock floor: the largest of its groups'
+    /// terms, which is [`DelayModel::clock_floor_ns`] read from the
+    /// tables.
+    fn clock_floor_ns(&self, picks: &[(usize, usize)]) -> f64 {
+        picks.iter().fold(0.0, |floor: f64, &(axis, option)| {
+            floor.max(self.options[axis][option].clock_floor_ns)
+        })
+    }
+
+    /// The name [`plan_name`] gives the plan of `picks`.
+    fn name(&self, axes: &Axes, picks: &[(usize, usize)]) -> String {
+        let terms = |&(axis, option): &(usize, usize)| &self.options[axis][option];
+        match picks {
+            [(0, option)] => group_name(&axes.options[0][*option]),
+            [pick] => terms(pick).name.clone(),
+            _ => {
+                let mut name =
+                    String::with_capacity(picks.iter().map(|p| terms(p).tagged.len() + 1).sum());
+                for (i, pick) in picks.iter().enumerate() {
+                    if i > 0 {
+                        name.push('+');
+                    }
+                    name.push_str(&terms(pick).tagged);
+                }
+                name
+            }
+        }
+    }
 }
 
 /// Checks that a checkpoint was recorded under the same options, design
@@ -1198,16 +1468,21 @@ fn require_work(base_et: f64) -> Result<(), RspError> {
     }
 }
 
+/// A shared group's name: `RS(shr=…,shc=…,st=…)`, or `RSP(…)` when it
+/// is pipelined.
+fn group_name(g: &SharedGroup) -> String {
+    let tag = if g.is_pipelined() { "RSP" } else { "RS" };
+    format!(
+        "{tag}(shr={},shc={},st={})",
+        g.per_row(),
+        g.per_col(),
+        g.stages()
+    )
+}
+
+/// A candidate plan's name: its one group's [`group_name`], or every
+/// group's name tagged with its kind, joined by `+`.
 fn plan_name(plan: &SharingPlan) -> String {
-    fn group_name(g: &SharedGroup) -> String {
-        let tag = if g.is_pipelined() { "RSP" } else { "RS" };
-        format!(
-            "{tag}(shr={},shc={},st={})",
-            g.per_row(),
-            g.per_col(),
-            g.stages()
-        )
-    }
     match plan.groups() {
         // Single-group plans keep the historic kind-less name the
         // tracked artifacts and checkpoints were recorded under.
@@ -1339,6 +1614,209 @@ mod tests {
             .expect("a three-kind mix");
         assert!(plan_name(&multi).contains('+'));
         assert!(space.plans().all(|p| !p.groups().is_empty()));
+    }
+
+    /// The nested-loop enumerator the axis walk replaced: the grid's
+    /// kinds × stages × shr × shc, then each mix's mixed-radix product,
+    /// skipping what fails validation. Kept as the walk's oracle.
+    fn nested_plans(space: &DesignSpace) -> Vec<SharingPlan> {
+        let mut plans = Vec::new();
+        for &kind in &space.shared_kinds {
+            for &stages in &space.stages {
+                for &shr in &space.shr {
+                    for &shc in &space.shc {
+                        if let Ok(g) = SharedGroup::new(kind, shr, shc, stages) {
+                            plans.push(SharingPlan::none().with_group(g).unwrap());
+                        }
+                    }
+                }
+            }
+        }
+        for mix in &space.mixes {
+            let axes: Vec<Vec<Option<SharedGroup>>> = mix
+                .iter()
+                .map(|axis| {
+                    let mut options = vec![None];
+                    for &stages in &axis.stages {
+                        for &shr in &axis.shr {
+                            for &shc in &axis.shc {
+                                if let Ok(g) = SharedGroup::new(axis.kind, shr, shc, stages) {
+                                    options.push(Some(g));
+                                }
+                            }
+                        }
+                    }
+                    options
+                })
+                .collect();
+            let total: usize = axes.iter().map(Vec::len).product();
+            'index: for index in 1..total {
+                let mut plan = SharingPlan::none();
+                let mut rest = index;
+                for options in &axes {
+                    if let Some(g) = options[rest % options.len()] {
+                        match plan.with_group(g) {
+                            Ok(p) => plan = p,
+                            Err(_) => continue 'index,
+                        }
+                    }
+                    rest /= options.len();
+                }
+                plans.push(plan);
+            }
+        }
+        plans
+    }
+
+    fn axis(kind: FuKind, stages: &[u8], shr: &[usize], shc: &[usize]) -> MixAxis {
+        MixAxis {
+            kind,
+            stages: stages.to_vec(),
+            shr: shr.to_vec(),
+            shc: shc.to_vec(),
+        }
+    }
+
+    /// deep100's 49-candidate corner where the clock-floor cut fires.
+    fn clock_cut_corner() -> DesignSpace {
+        let mut space = DesignSpace::deep100();
+        let [mult, alu, shifter] = &mut space.mixes[0][..] else {
+            panic!("deep100 mixes three kinds");
+        };
+        (mult.stages, mult.shr, mult.shc) = (vec![1, 2], vec![2], vec![1, 2]);
+        (alu.stages, alu.shr, alu.shc) = (vec![1, 2], vec![1, 2], vec![0]);
+        (shifter.stages, shifter.shr, shifter.shc) = (vec![1], vec![1], vec![0]);
+        space
+    }
+
+    /// Every space shape the walk must enumerate like the nested loops:
+    /// the presets, the clock-cut corner, mixes that repeat a kind, and
+    /// axes holding `shr = shc = 0`, stage counts out of range or an
+    /// unsharable kind.
+    fn walk_spaces() -> Vec<DesignSpace> {
+        use FuKind::{Alu, Multiplier as Mult, Mux, Shifter};
+        let repeats = DesignSpace {
+            shared_kinds: vec![Alu],
+            stages: vec![1],
+            shr: vec![1],
+            shc: vec![0],
+            mixes: vec![
+                vec![
+                    axis(Mult, &[1, 2], &[1], &[0, 1]),
+                    axis(Alu, &[2], &[1, 2], &[0]),
+                    axis(Mult, &[3], &[2], &[0]),
+                    axis(Shifter, &[1], &[1], &[1]),
+                    axis(Alu, &[1], &[4], &[4]),
+                ],
+                vec![axis(Shifter, &[1, 2], &[1, 2], &[0])],
+            ],
+        };
+        let invalid = DesignSpace {
+            shared_kinds: vec![Mux, Mult, Shifter],
+            stages: vec![0, 1, 9, 2],
+            shr: vec![0, 1],
+            shc: vec![0, 2],
+            mixes: vec![
+                vec![
+                    axis(Alu, &[0, 9], &[1], &[1]),
+                    axis(Mult, &[1, 8], &[0], &[0, 1]),
+                    axis(Shifter, &[1], &[0], &[0]),
+                    axis(Mux, &[1], &[1], &[1]),
+                ],
+                vec![axis(Alu, &[1], &[0], &[0])],
+                vec![],
+            ],
+        };
+        vec![
+            DesignSpace::paper(),
+            DesignSpace::extended(),
+            DesignSpace::deep(),
+            DesignSpace::deep100(),
+            clock_cut_corner(),
+            repeats,
+            invalid,
+        ]
+    }
+
+    #[test]
+    fn the_axis_walk_enumerates_the_nested_loops_plans_names_and_count() {
+        for space in walk_spaces() {
+            let expected = nested_plans(&space);
+            let axes = Axes::new(&space);
+            assert_eq!(axes.count(), expected.len(), "{space:?}");
+            assert_eq!(space.plans().collect::<Vec<_>>(), expected, "{space:?}");
+            let tables = Tables::new(&axes, &[], &DelayModel::new());
+            let n = expected.len();
+            for cursor in [0, 1, n / 3, n / 2, n.saturating_sub(1), n] {
+                let mut walk = axes.walk_from(cursor.min(n));
+                for plan in &expected[cursor.min(n)..] {
+                    let picks = walk.next(&axes).expect("the walk ends with the plans");
+                    assert_eq!(&axes.plan(picks), plan, "from {cursor} in {space:?}");
+                    assert_eq!(tables.name(&axes, picks), plan_name(plan));
+                }
+                assert!(walk.next(&axes).is_none(), "from {cursor} in {space:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_tables_reproduce_the_clock_floor_and_the_estimate_on_deep100() {
+        let (base, kernels, contexts, _) = setup();
+        let space = DesignSpace::deep100();
+        let axes = Axes::new(&space);
+        let profiles: Vec<ContextProfile> = contexts
+            .iter()
+            .zip(&kernels)
+            .map(|(c, k)| ContextProfile::new(c, k, &space.kinds_used()))
+            .collect();
+        let delay = DelayModel::new();
+        let tables = Tables::new(&axes, &profiles, &delay);
+        // One slack sweep per kernel and distinct (kind, shr, shc):
+        // 12 multiplier, 12 ALU and 4 shifter triples.
+        assert_eq!(tables.floors.len(), 28 * kernels.len());
+        let depth = base.config_cache_depth() as u32;
+        let mut walk = axes.walk_from(0);
+        let mut plans = 0;
+        while let Some(picks) = walk.next(&axes) {
+            let plan = axes.plan(picks);
+            assert_eq!(
+                tables.clock_floor_ns(picks).to_bits(),
+                delay.clock_floor_ns(&plan).to_bits(),
+                "{plan}"
+            );
+            let estimates: Vec<u32> = profiles
+                .iter()
+                .map(|p| p.estimate(&plan, depth).total_cycles)
+                .collect();
+            assert_eq!(tables.est_cycles(picks, depth), estimates, "{plan}");
+            plans += 1;
+        }
+        assert_eq!(plans, 11_024);
+    }
+
+    #[test]
+    fn an_exploration_queries_the_model_cache_for_its_base_plan_only() {
+        let (base, kernels, contexts, weights) = setup();
+        let cache = Arc::new(ModelCache::new());
+        let options = ExploreOptions {
+            cache: Some(Arc::clone(&cache)),
+            ..ExploreOptions::default()
+        };
+        for queries in 1..=2 {
+            explore_with(
+                &base,
+                &kernels,
+                &contexts,
+                &weights,
+                &DesignSpace::deep(),
+                &options,
+            )
+            .unwrap();
+            assert_eq!(
+                (cache.len(), cache.misses(), cache.hits()),
+                (1, 1, queries - 1)
+            );
+        }
     }
 
     #[test]
@@ -1537,13 +2015,7 @@ mod tests {
         // oracle: a combinational shared multiplier plus one shared ALU
         // per row is where the stage-structure clock floor alone proves
         // candidates hopeless at the default 1.5× slowdown.
-        let mut space = DesignSpace::deep100();
-        let [mult, alu, shifter] = &mut space.mixes[0][..] else {
-            panic!("deep100 mixes three kinds");
-        };
-        (mult.stages, mult.shr, mult.shc) = (vec![1, 2], vec![2], vec![1, 2]);
-        (alu.stages, alu.shr, alu.shc) = (vec![1, 2], vec![1, 2], vec![0]);
-        (shifter.stages, shifter.shr, shifter.shc) = (vec![1], vec![1], vec![0]);
+        let space = clock_cut_corner();
         assert_eq!(space.plans().count(), 49);
 
         let engine = assert_engine_matches_reference(&space);

@@ -20,8 +20,8 @@
 //!                 RSP Mapping ──> RSP configuration contexts
 //!                           (+ exact performance, Tables 4/5)
 //!                      ^    exact rearrangement refines the frontier:
-//!                      │    every kernel of every candidate, in
-//!                      │    ascending-area order
+//!                      │    every candidate in ascending-area order,
+//!                      │    its kernels up to the first that fails
 //! ```
 //!
 //! A flow runs on the thread that calls [`run_flow`] and spawns none; a
@@ -45,7 +45,8 @@
 //! candidate replaces the champion only on a *strictly* smaller score,
 //! so the earliest (smallest-area) candidate wins ties; a candidate
 //! that turns out exactly infeasible sets no score and is reported only
-//! when no candidate succeeds.
+//! when no candidate succeeds. A candidate's kernels are rearranged in
+//! order, and its first failing kernel ends its rearrangement.
 
 use crate::control::{Completeness, ControlClock, ExploreControl, TruncationReason};
 use crate::error::RspError;
@@ -104,12 +105,14 @@ pub struct FlowConfig {
     /// caller's thread. The field stays only because the benchmark
     /// package sets it; the next change to the benchmark removes it.
     pub parallelism: Option<usize>,
-    /// Synthesis-report memo shared across flows (default `None` = one
-    /// fresh cache per exploration, exactly as before). When set, both
-    /// the exploration phase and the exact stage's delay queries are
-    /// served from it — reports are pure, so outputs stay bit-identical;
-    /// only re-synthesis is avoided. [`crate::Session`] wires this
-    /// automatically.
+    /// Synthesis models and report memo shared across flows (default
+    /// `None`: the paper's models, nothing memoized across flows). The
+    /// exploration phase synthesizes its candidates through the cache's
+    /// models and memoizes only its base plan (see
+    /// [`ExploreOptions::cache`]); the exact stage reads each frontier
+    /// candidate's delay report through the memo, so a repeated flow
+    /// re-synthesizes none of them. Reports are pure, so outputs stay
+    /// bit-identical. [`crate::Session`] wires this automatically.
     pub cache: Option<Arc<ModelCache>>,
     /// Ignored, like [`ExploreOptions::profiles`]: each exploration
     /// builds its own kernel profiles. The field stays only because the
@@ -177,7 +180,9 @@ pub struct FlowStats {
     pub rearranged_candidates: usize,
     /// Frontier candidates whose exact rearrangement was attempted but
     /// failed (e.g. the rearranged schedule no longer fits the
-    /// configuration cache). Unless the exact stage was truncated,
+    /// configuration cache). A candidate's kernels are rearranged in
+    /// order and the first failure decides it, so no kernel after that
+    /// one is rearranged. Unless the exact stage was truncated,
     /// `rearranged_candidates + rearrangements_failed ==
     /// frontier_candidates`.
     pub rearrangements_failed: usize,
@@ -450,8 +455,8 @@ pub fn run_flow(apps: &[AppProfile], config: &FlowConfig) -> Result<FlowReport, 
         }
         exact_processed += 1;
         // One delay synthesis per candidate, shared by every kernel —
-        // served from the shared memo when the config carries one (the
-        // exploration phase synthesized every frontier plan already).
+        // served from the shared memo when the config carries one (a
+        // repeated flow finds its frontier plans there).
         // Panic-isolated like every candidate evaluation: a faulted
         // candidate is counted and skipped, never aborts the flow.
         let _rearrange_span = Span::enter(obs, "flow", "rearrange", ci as u64);
@@ -468,13 +473,14 @@ pub fn run_flow(apps: &[AppProfile], config: &FlowConfig) -> Result<FlowReport, 
             }
             continue;
         };
-        // Every kernel is rearranged, even after one fails: the first
-        // failure in kernel order decides the candidate, and the work
-        // done (`rearrange/schedule` events) does not depend on where it
-        // fell.
-        let rearranged: Vec<Result<(Rearranged, KernelPerf), RspError>> = contexts
-            .iter()
-            .map(|ctx| {
+        // Kernels are rearranged in order, up to the first that fails:
+        // that failure decides the candidate, so the kernels after it are
+        // never rearranged.
+        let mut rsp = Vec::with_capacity(contexts.len());
+        let mut perf = Vec::with_capacity(contexts.len());
+        let mut failure = None;
+        for ctx in &contexts {
+            let item: Result<(Rearranged, KernelPerf), RspError> =
                 catch_unwind(AssertUnwindSafe(|| {
                     let r = rearrange(ctx, &point.arch, &RearrangeOptions::default())?;
                     let p = perf_from_rearranged_with(ctx, &point.arch, &delay_report, &r);
@@ -484,13 +490,7 @@ pub fn run_flow(apps: &[AppProfile], config: &FlowConfig) -> Result<FlowReport, 
                     Err(RspError::CandidateFaulted {
                         name: point.arch.name().to_string(),
                     })
-                })
-            })
-            .collect();
-        let mut rsp = Vec::with_capacity(contexts.len());
-        let mut perf = Vec::with_capacity(contexts.len());
-        let mut failure = None;
-        for item in rearranged {
+                });
             match item {
                 Ok((r, p)) => {
                     rsp.push(r);

@@ -3,13 +3,17 @@
 //! A [`Session`] owns everything that outlives one query: the memoized
 //! synthesis reports ([`ModelCache`], keyed by `(geometry, plan)`), the
 //! mapped initial contexts, and the option defaults that every request
-//! inherits. The engine entry points ([`explore_with`], [`run_flow`])
-//! stay pure functions of their inputs; a session merely *assembles*
-//! their option structs — one [`SessionBuilder`] replaces the
+//! inherits. The engine entry points ([`explore_with`](crate::explore_with),
+//! [`run_flow`]) stay pure functions of their inputs; a session merely
+//! *assembles* their option structs — one [`SessionBuilder`] replaces the
 //! hand-built `ExploreOptions` + `FlowConfig` + [`ExploreControl`]
 //! pattern at call sites — and threads its shared caches through them,
-//! so repeated or concurrent requests never re-synthesize a plan or
-//! re-map a kernel they have seen. Kernel demand profiles are not
+//! so repeated or concurrent requests never re-map a kernel they have
+//! seen, and explorations hand the memoized contexts to the engine
+//! without copying them. The synthesis memo holds each exploration's
+//! base plan and each flow's exact-stage frontier plans; exploration
+//! candidates are synthesized directly, because the closed-form models
+//! cost less than a memo lookup. Kernel demand profiles are not
 //! memoized: each exploration builds its own, once per kernel, because
 //! any key that reads the whole mapped context costs about as much as
 //! the build.
@@ -32,8 +36,8 @@
 //! let kernels = [suite::fdct(), suite::sad()];
 //! let weights = [1.0, 1.0];
 //!
-//! // First request synthesizes; an overlapping second request reuses
-//! // every report (`session.stats().model_hits` grows).
+//! // The first request maps the kernels and synthesizes the base plan;
+//! // the second finds both in the session's memos.
 //! for _ in 0..2 {
 //!     let result = session.explore(
 //!         &base,
@@ -44,14 +48,15 @@
 //!     )?;
 //!     assert!(result.best_point().arch.plan().has_pipelining());
 //! }
-//! assert!(session.stats().model_hits > 0);
+//! let stats = session.stats();
+//! assert_eq!((stats.model_hits, stats.context_hits), (1, 2));
 //! # Ok::<(), rsp_core::RspError>(())
 //! ```
 
 use crate::control::ExploreControl;
 use crate::error::RspError;
 use crate::explore::{
-    explore_with, Constraints, DesignSpace, Exploration, ExploreOptions, Objective,
+    explore_engine, Constraints, DesignSpace, Exploration, ExploreOptions, Objective,
 };
 use crate::flow::{run_flow, AppProfile, FlowConfig, FlowReport};
 use rsp_arch::{ArrayGeometry, BaseArchitecture, BusSpec, PeDesign};
@@ -335,9 +340,10 @@ impl Session {
     }
 
     /// Explores `space` for `kernels` (with weights) over `base`: maps
-    /// each kernel through the session's context memo, then runs
-    /// [`explore_with`] under [`Session::explore_options`]. Bit-identical
-    /// to a cold [`explore_with`] call with default options.
+    /// each kernel through the session's context memo, then runs the
+    /// [`explore_with`](crate::explore_with) engine on the memoized
+    /// contexts under [`Session::explore_options`]. Bit-identical to a
+    /// cold `explore_with` call with default options.
     ///
     /// # Errors
     ///
@@ -351,18 +357,21 @@ impl Session {
         space: &DesignSpace,
         control: ExploreControl,
     ) -> Result<Exploration, RspError> {
-        let contexts: Vec<ConfigContext> = kernels
+        // The memo's contexts are read in place: a deep copy costs about
+        // as much as mapping afresh.
+        let contexts: Vec<Arc<ConfigContext>> = kernels
             .iter()
-            .map(|k| self.map(base, k).map(|ctx| (*ctx).clone()))
+            .map(|k| self.map(base, k))
             .collect::<Result<_, _>>()?;
         self.requests.fetch_add(1, Ordering::Relaxed);
-        explore_with(
+        explore_engine(
             base,
             kernels,
             &contexts,
             weights,
             space,
             &self.explore_options(control),
+            None,
         )
     }
 
@@ -386,6 +395,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore::explore_with;
     use rsp_kernel::suite;
 
     fn kernels_and_weights() -> (Vec<Kernel>, Vec<f64>) {

@@ -1,14 +1,16 @@
 //! Property tests: the exploration engine is *bit-identical* to the
 //! serial reference implementation — same feasible set (order, cycle
 //! estimates, and exact f64 bit patterns), same Pareto frontier, same
-//! selected optimum — over both the paper's space and the extended
-//! ablation space.
+//! selected optimum — over the paper's space, the extended ablation
+//! space and seeded sub-spaces of the mixed deep100 space, truncated and
+//! resumed.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use rsp_arch::{presets, BaseArchitecture};
 use rsp_core::{
-    explore_reference, explore_with, Constraints, DesignSpace, Exploration, ExploreOptions,
-    Objective,
+    explore_reference, explore_reference_with, explore_resume, explore_with, Constraints,
+    DesignSpace, Exploration, ExploreControl, ExploreOptions, Objective,
 };
 use rsp_kernel::Kernel;
 use rsp_mapper::{map, ConfigContext, MapOptions};
@@ -110,6 +112,121 @@ proptest! {
             (Err(r), Err(e)) => prop_assert_eq!(r, e),
             (r, e) => prop_assert!(false, "divergent outcomes: ref {:?} vs engine {:?}",
                 r.map(|x| x.feasible.len()), e.map(|x| x.feasible.len())),
+        }
+    }
+}
+
+/// A seeded sub-space of deep100: a non-empty subset of every axis's
+/// stage, `shr` and `shc` lists, thinned until it holds at most 300
+/// candidates, so the dense reference stays cheap.
+fn deep100_subspace(mut seed: u64) -> DesignSpace {
+    let mut next = |n: usize| {
+        seed = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (seed >> 33) as usize % n
+    };
+    fn keep_some<T: Copy>(items: &[T], mut pick: impl FnMut(usize) -> usize) -> Vec<T> {
+        let kept: Vec<T> = items.iter().copied().filter(|_| pick(2) == 0).collect();
+        if kept.is_empty() {
+            vec![items[pick(items.len())]]
+        } else {
+            kept
+        }
+    }
+    let mut space = DesignSpace::deep100();
+    for axis in &mut space.mixes[0] {
+        axis.stages = keep_some(&axis.stages, &mut next);
+        axis.shr = keep_some(&axis.shr, &mut next);
+        axis.shc = keep_some(&axis.shc, &mut next);
+    }
+    while space.plans().count() > 300 {
+        let axis = &mut space.mixes[0][next(3)];
+        let list = next(3);
+        let len = [axis.stages.len(), axis.shr.len(), axis.shc.len()][list];
+        if len > 1 {
+            let at = next(len);
+            match list {
+                0 => drop(axis.stages.remove(at)),
+                1 => drop(axis.shr.remove(at)),
+                _ => drop(axis.shc.remove(at)),
+            }
+        }
+    }
+    space
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Seeded deep100 sub-spaces reproduce the reference bit for bit —
+    /// complete, truncated after a random number of candidates, and
+    /// resumed from that truncation's checkpoint.
+    #[test]
+    fn engine_matches_reference_on_deep100_subspaces(
+        seed in any::<u64>(),
+        objective in arb_objective(),
+        slowdown_pct in 101u32..=300,
+        cut_permille in 0usize..=1000,
+    ) {
+        let (base, kernels, contexts) = fixture();
+        let space = deep100_subspace(seed);
+        let total = space.plans().count();
+        let weights: Vec<f64> = (0..kernels.len())
+            .map(|i| ((seed >> (i % 8 * 8)) % 17 + 1) as f64)
+            .collect();
+        let constraints = Constraints {
+            enforce_cost_bound: true,
+            max_slowdown: slowdown_pct as f64 / 100.0,
+        };
+        let options = ExploreOptions {
+            constraints,
+            objective,
+            ..ExploreOptions::default()
+        };
+        let reference = explore_reference(
+            base, kernels, contexts, &weights, &space, &constraints, objective,
+        );
+        let engine = explore_with(base, kernels, contexts, &weights, &space, &options);
+        match (&reference, &engine) {
+            (Ok(r), Ok(e)) => assert_bit_identical(e, r),
+            (Err(r), Err(e)) => prop_assert_eq!(r, e),
+            _ => prop_assert!(false, "divergent outcomes over {} candidates", total),
+        }
+
+        let k = total * cut_permille / 1000;
+        let control = ExploreControl::with_budget(k);
+        let truncated_reference = explore_reference_with(
+            base, kernels, contexts, &weights, &space, &constraints, objective, &control,
+        );
+        let truncated = explore_with(
+            base, kernels, contexts, &weights, &space,
+            &ExploreOptions { control, ..options.clone() },
+        );
+        let truncated = match (truncated_reference, truncated) {
+            (Ok(r), Ok(e)) => {
+                assert_bit_identical(&e, &r);
+                prop_assert_eq!(e.completeness, r.completeness);
+                prop_assert_eq!(e.stats.candidates_seen, k);
+                e
+            }
+            (Err(r), Err(e)) => {
+                // Only a complete run fails: the budget covered it all.
+                prop_assert_eq!(r, e);
+                prop_assert_eq!(k, total);
+                return Ok(());
+            }
+            _ => {
+                return Err(TestCaseError(format!("divergent truncated outcomes at {k}")));
+            }
+        };
+        let resumed = explore_resume(
+            base, kernels, contexts, &weights, &space, &options, &truncated.checkpoint(),
+        );
+        match (reference, resumed) {
+            (Ok(r), Ok(e)) => assert_bit_identical(&e, &r),
+            (Err(r), Err(e)) => prop_assert_eq!(r, e),
+            _ => prop_assert!(false, "divergent resumed outcomes from {}", k),
         }
     }
 }

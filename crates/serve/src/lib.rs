@@ -4,10 +4,13 @@
 //! [`rsp_core::Session`]: clients send JSON [`proto::Envelope`] lines
 //! (kernels as `rsp_workload` textual DFG source) and get map / explore
 //! / flow answers concurrently, all served from the session's
-//! process-wide caches — synthesis reports keyed by `(geometry, plan)`,
-//! mapped contexts keyed by `(base, kernel)` — so a stream of
-//! overlapping requests synthesizes each plan and maps each kernel once
-//! instead of once per request.
+//! process-wide caches — mapped contexts keyed by `(base, kernel)`, and
+//! synthesis reports keyed by `(geometry, plan)` for each exploration's
+//! base plan and each flow's exact-stage frontier plans — so a stream of
+//! overlapping requests maps each kernel and synthesizes each of those
+//! plans once instead of once per request. An exploration synthesizes
+//! its candidates directly: the closed-form models cost less than a
+//! memo lookup.
 //!
 //! Engine invariants carry over to the wire:
 //!

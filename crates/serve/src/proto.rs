@@ -186,7 +186,9 @@ pub struct StatsReply {
     pub schema: u32,
     /// Milliseconds since the server spawned.
     pub uptime_ms: u64,
-    /// Distinct plans holding full synthesis reports.
+    /// Distinct plans holding synthesis reports: explorations' base
+    /// plans and flows' exact-stage frontier plans (exploration
+    /// candidates are synthesized without the memo).
     pub model_reports: u64,
     /// Synthesis-memo hits — cross-request reuse, observable.
     pub model_hits: u64,

@@ -18,7 +18,7 @@
 
 use crate::calibration as cal;
 use crate::components::ComponentLibrary;
-use rsp_arch::{FuKind, PeDesign, RspArchitecture, SharingPlan};
+use rsp_arch::{FuKind, PeDesign, RspArchitecture, SharedGroup, SharingPlan};
 use serde::{Deserialize, Serialize};
 
 /// Which path limits the clock.
@@ -190,16 +190,28 @@ impl DelayModel {
             floor = floor.max(mux + stage + cal::INTERCONNECT_NS);
         }
         for g in plan.groups() {
-            let sw = cal::switch_delay_ns(g.switch_fan_in());
-            let cand = if g.is_pipelined() {
-                let stage = self.fu_path(g.kind()) / g.stages() as f64 + cal::PIPE_REG_SETUP_NS;
-                stage + sw + cal::INTERCONNECT_NS
-            } else {
-                mux + sw + self.fu_path(g.kind()) + cal::INTERCONNECT_NS
-            };
-            floor = floor.max(cand);
+            floor = floor.max(self.group_clock_floor_ns(g));
         }
         floor
+    }
+
+    /// One shared group's term of [`clock_floor_ns`](Self::clock_floor_ns):
+    /// its pipeline stage (`fu/stages + register`) or combinational
+    /// round trip (`mux + fu`), plus the group's own switch traversal and
+    /// the interconnect margin. It depends on the group alone, so an
+    /// exploration computes it once per group and takes a plan's floor
+    /// as the maximum of its groups' terms — bit-identical to
+    /// `clock_floor_ns` for a plan without local pipelines, because a
+    /// maximum of finite values does not round.
+    pub fn group_clock_floor_ns(&self, g: &SharedGroup) -> f64 {
+        let sw = cal::switch_delay_ns(g.switch_fan_in());
+        if g.is_pipelined() {
+            let stage = self.fu_path(g.kind()) / g.stages() as f64 + cal::PIPE_REG_SETUP_NS;
+            stage + sw + cal::INTERCONNECT_NS
+        } else {
+            let mux = self.lib.spec(FuKind::Mux).delay_ns;
+            mux + sw + self.fu_path(g.kind()) + cal::INTERCONNECT_NS
+        }
     }
 
     /// Full clock-period report for an architecture.
