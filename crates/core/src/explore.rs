@@ -239,7 +239,7 @@ impl DesignSpace {
     /// the exploration engine visits candidates in.
     pub fn plans(&self) -> impl Iterator<Item = SharingPlan> + '_ {
         let axes = Axes::new(self);
-        let mut walk = axes.walk_from(0);
+        let mut walk = Walk::default();
         std::iter::from_fn(move || walk.next(&axes).map(|picks| axes.plan(picks)))
     }
 }
@@ -263,7 +263,7 @@ struct Axes {
 }
 
 /// A cursor into a space's candidate sequence (see [`Axes`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Walk {
     /// 0 for the grid, `1 + m` for mix `m`.
     segment: usize,
@@ -311,59 +311,34 @@ impl Axes {
     /// or one of this kind's groups" (a kind on several axes is shared by
     /// at most one of them), minus the all-unshared plan.
     fn count(&self) -> usize {
-        self.options[0].len()
-            + self
-                .mixes
-                .iter()
-                .map(|mix| self.mix_count(mix))
-                .sum::<usize>()
-    }
-
-    fn mix_count(&self, (axes, _): &(Range<usize>, usize)) -> usize {
-        let mut per_kind: Vec<(FuKind, usize)> = Vec::new();
-        for options in &self.options[axes.clone()] {
-            let Some(kind) = options.first().map(SharedGroup::kind) else {
-                continue;
-            };
-            match per_kind.iter_mut().find(|(k, _)| *k == kind) {
-                Some((_, n)) => *n += options.len(),
-                None => per_kind.push((kind, options.len())),
-            }
-        }
-        per_kind.iter().map(|(_, n)| n + 1).product::<usize>() - 1
-    }
-
-    /// A walk positioned before candidate `cursor`: whole segments are
-    /// skipped by their counts, and inside a mix that skips no
-    /// combination the cursor is the mixed-radix index itself.
-    fn walk_from(&self, cursor: usize) -> Walk {
-        let mut walk = Walk {
-            segment: 0,
-            index: cursor,
-            picks: Vec::new(),
-        };
-        let mut rest = cursor;
-        if rest < self.options[0].len() {
-            return walk;
-        }
-        rest -= self.options[0].len();
-        for (m, mix) in self.mixes.iter().enumerate() {
-            let count = self.mix_count(mix);
-            if rest < count {
-                walk.segment = m + 1;
-                walk.index = 1;
-                if count == mix.1 - 1 {
-                    walk.index += rest;
-                } else {
-                    for _ in 0..rest {
-                        walk.next(self);
-                    }
+        let mut count = self.options[0].len();
+        for (axes, _) in &self.mixes {
+            let mut groups_per_kind: Vec<(FuKind, usize)> = Vec::new();
+            for options in &self.options[axes.clone()] {
+                let Some(kind) = options.first().map(SharedGroup::kind) else {
+                    continue;
+                };
+                match groups_per_kind.iter_mut().find(|(k, _)| *k == kind) {
+                    Some((_, n)) => *n += options.len(),
+                    None => groups_per_kind.push((kind, options.len())),
                 }
-                return walk;
             }
-            rest -= count;
+            count += groups_per_kind
+                .iter()
+                .map(|(_, n)| n + 1)
+                .product::<usize>()
+                - 1;
         }
-        walk.segment = self.mixes.len() + 1;
+        count
+    }
+
+    /// A walk positioned before candidate `cursor`. Stepping past the
+    /// first `cursor` candidates builds none of their plans.
+    fn walk_from(&self, cursor: usize) -> Walk {
+        let mut walk = Walk::default();
+        for _ in 0..cursor {
+            walk.next(self);
+        }
         walk
     }
 
