@@ -1749,7 +1749,6 @@ mod tests {
         // One slack sweep per kernel and distinct (kind, shr, shc):
         // 12 multiplier, 12 ALU and 4 shifter triples.
         assert_eq!(tables.floors.len(), 28 * kernels.len());
-        let depth = base.config_cache_depth() as u32;
         let mut walk = axes.walk_from(0);
         let mut plans = 0;
         while let Some(picks) = walk.next(&axes) {
@@ -1759,11 +1758,15 @@ mod tests {
                 delay.clock_floor_ns(&plan).to_bits(),
                 "{plan}"
             );
-            let estimates: Vec<u32> = profiles
-                .iter()
-                .map(|p| p.estimate(&plan, depth).total_cycles)
-                .collect();
-            assert_eq!(tables.est_cycles(picks, depth), estimates, "{plan}");
+            // The base's cache holds every suite schedule; an 8-deep one
+            // charges refill.
+            for depth in [base.config_cache_depth() as u32, 8] {
+                let estimates: Vec<u32> = profiles
+                    .iter()
+                    .map(|p| p.estimate(&plan, depth).total_cycles)
+                    .collect();
+                assert_eq!(tables.est_cycles(picks, depth), estimates, "{plan}");
+            }
             plans += 1;
         }
         assert_eq!(plans, 11_024);

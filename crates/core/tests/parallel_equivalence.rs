@@ -170,6 +170,10 @@ proptest! {
         cut_permille in 0usize..=1000,
     ) {
         let (base, kernels, contexts) = fixture();
+        // Half the cases explore over an 8-deep configuration cache, so
+        // the estimates charge refill.
+        let depth = if seed.is_multiple_of(2) { base.config_cache_depth() } else { 8 };
+        let base = &BaseArchitecture::new(base.geometry(), base.pe().clone(), base.buses(), depth);
         let space = deep100_subspace(seed);
         let total = space.plans().count();
         let weights: Vec<f64> = (0..kernels.len())
