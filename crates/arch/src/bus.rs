@@ -5,7 +5,7 @@
 //! illustration). The base architecture of §5.1 extends Morphosys with
 //! "multiple read/write data buses" per row; bus capacity limits how many
 //! load/store operations a row can issue in one cycle, which the mapper
-//! must respect (memory-operation sharing, ref. [7] of the paper).
+//! must respect (memory-operation sharing, ref. \[7\] of the paper).
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

@@ -11,8 +11,8 @@
 //! Shared resources are placed in line with the rows and/or columns of the
 //! array: a *row bank* of `shr` resources serves all PEs of its row, and a
 //! *column bank* of `shc` resources serves all PEs of its column (Fig. 8).
-//! Every PE reaches its banks through its private [bus switch](SwitchSpec),
-//! whose fan-in is `shr + shc` alternatives.
+//! Every PE reaches its banks through its private bus switch, whose
+//! fan-in ([`SharedGroup::switch_fan_in`]) is `shr + shc` alternatives.
 
 use crate::fu::FuKind;
 use crate::geometry::{ArrayGeometry, PeId};

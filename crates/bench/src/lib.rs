@@ -567,7 +567,7 @@ pub fn estimator_report() -> String {
     for k in suite::all() {
         let ctx = context_for(&k);
         for arch in presets::table_architectures() {
-            let est = estimate_stalls(&ctx, &k, &arch);
+            let est = estimate_stalls(&ctx, &arch);
             let exact = rearrange(&ctx, &arch, &Default::default()).expect("rearranges");
             let _ = writeln!(
                 s,

@@ -97,7 +97,7 @@ use crate::estimate::{estimate_stalls_dense, refill_stall_estimate, ContextProfi
 use crate::frontier::{pareto_indices_of, ParetoFrontier};
 use rsp_arch::{BaseArchitecture, FuKind, RspArchitecture, SharedGroup, SharingPlan};
 use rsp_kernel::Kernel;
-use rsp_mapper::ConfigContext;
+use rsp_mapper::{ConfigContext, ScheduleViolation};
 use rsp_obs::{Recorder, Span, Value};
 use rsp_synth::{AreaModel, DelayModel, ModelCache};
 use serde::{Deserialize, Serialize};
@@ -691,6 +691,8 @@ impl ExploreCheckpoint {
 ///
 /// [`RspError::EmptyProfile`] when there are no kernels or their weighted
 /// base execution time is not positive (every weight 0).
+/// [`RspError::InvalidContext`] when a context has an instance outside
+/// its array.
 /// [`RspError::NoFeasibleDesign`] when every candidate violates the
 /// constraints.
 ///
@@ -779,6 +781,8 @@ enum Outcome {
 ///
 /// [`RspError::EmptyProfile`] when there are no kernels or their weighted
 /// base execution time is not positive (every weight 0).
+/// [`RspError::InvalidContext`] when a context has an instance outside
+/// its array.
 /// [`RspError::NoFeasibleDesign`] when every candidate violates the
 /// constraints.
 ///
@@ -838,6 +842,8 @@ pub fn explore_with(
 /// candidate.
 /// [`RspError::EmptyProfile`] when there are no kernels or their weighted
 /// base execution time is not positive (every weight 0).
+/// [`RspError::InvalidContext`] when a context has an instance outside
+/// its array.
 #[allow(clippy::too_many_arguments)]
 pub fn explore_resume(
     base: &BaseArchitecture,
@@ -873,6 +879,7 @@ pub(crate) fn explore_engine<C: Borrow<ConfigContext>>(
 ) -> Result<Exploration, RspError> {
     assert_eq!(kernels.len(), contexts.len());
     assert_eq!(kernels.len(), weights.len());
+    check_placement(contexts)?;
     // Observability: spans and prune decisions go to the caller's
     // recorder. Everything below is gated on `obs.enabled()` (directly
     // or inside `Span`/`point`), so the default `NullRecorder` costs
@@ -917,8 +924,7 @@ pub(crate) fn explore_engine<C: Borrow<ConfigContext>>(
     let profile_kinds = space.kinds_used();
     let profiles: Vec<ContextProfile> = contexts
         .iter()
-        .zip(kernels)
-        .map(|(ctx, k)| ContextProfile::new(ctx.borrow(), k, &profile_kinds))
+        .map(|ctx| ContextProfile::new(ctx.borrow(), &profile_kinds))
         .collect();
     let tables = Tables::new(&axes, &profiles, models.delay_model());
     drop(profile_span);
@@ -1237,6 +1243,23 @@ impl Tables {
     }
 }
 
+/// Rejects a context with an instance outside its array, with the error
+/// [`rearrange`](crate::rearrange()) returns for it: the profiles and the
+/// dense oracle index their demand by PE. Every exploration runs this
+/// before it profiles a context.
+fn check_placement<C: Borrow<ConfigContext>>(contexts: &[C]) -> Result<(), RspError> {
+    for ctx in contexts {
+        let ctx = ctx.borrow();
+        let geom = ctx.geometry();
+        if let Some(instance) = ctx.instances().iter().position(|i| !geom.contains(i.pe)) {
+            let pe = ctx.instances()[instance].pe;
+            let v = ScheduleViolation::PeOutsideArray { instance, pe };
+            return Err(RspError::InvalidContext(v));
+        }
+    }
+    Ok(())
+}
+
 /// Checks that a checkpoint was recorded under the same options, design
 /// space, and base/kernel inputs it is being resumed under.
 fn validate_checkpoint(
@@ -1290,6 +1313,8 @@ fn validate_checkpoint(
 ///
 /// [`RspError::EmptyProfile`] when there are no kernels or their weighted
 /// base execution time is not positive (every weight 0).
+/// [`RspError::InvalidContext`] when a context has an instance outside
+/// its array.
 /// [`RspError::NoFeasibleDesign`] when every candidate violates the
 /// constraints.
 #[allow(clippy::too_many_arguments)]
@@ -1325,6 +1350,8 @@ pub fn explore_reference(
 ///
 /// [`RspError::EmptyProfile`] when there are no kernels or their weighted
 /// base execution time is not positive (every weight 0).
+/// [`RspError::InvalidContext`] when a context has an instance outside
+/// its array.
 /// [`RspError::NoFeasibleDesign`] when a *complete* run has no feasible
 /// candidate (a truncated run returns an empty anytime result instead).
 #[allow(clippy::too_many_arguments)]
@@ -1340,6 +1367,7 @@ pub fn explore_reference_with(
 ) -> Result<Exploration, RspError> {
     assert_eq!(kernels.len(), contexts.len());
     assert_eq!(kernels.len(), weights.len());
+    check_placement(contexts)?;
     let area_model = AreaModel::new();
     let delay_model = DelayModel::new();
 
@@ -1372,10 +1400,10 @@ pub fn explore_reference_with(
         let area = area_model.report(&arch);
         let delay = delay_model.report(&arch);
 
-        let mut est_cycles = Vec::with_capacity(kernels.len());
+        let mut est_cycles = Vec::with_capacity(contexts.len());
         let mut est_et = 0.0;
-        for ((k, ctx), w) in kernels.iter().zip(contexts).zip(weights) {
-            let est = estimate_stalls_dense(ctx, k, &arch);
+        for (ctx, w) in contexts.iter().zip(weights) {
+            let est = estimate_stalls_dense(ctx, &arch);
             est_cycles.push(est.total_cycles);
             est_et += w * est.total_cycles as f64 * delay.clock_ns;
         }
@@ -1551,6 +1579,66 @@ mod tests {
                 options.objective,
             );
             assert_eq!(reference.unwrap_err(), RspError::EmptyProfile);
+        }
+    }
+
+    #[test]
+    fn an_instance_outside_the_array_is_the_error_rearrange_returns() {
+        // FDCT's first multiplication, moved one column, then one row,
+        // past the 8×8 array through the context's serde form: the
+        // profiles would index out of bounds or count it elsewhere.
+        let (base, kernels, contexts, weights) = setup();
+        let fdct = kernels
+            .iter()
+            .position(|k| k.name() == suite::fdct().name())
+            .unwrap();
+        let mult = contexts[fdct]
+            .instances()
+            .iter()
+            .position(|i| i.op == rsp_arch::OpKind::Mult)
+            .unwrap();
+        let space = DesignSpace::paper();
+        let options = ExploreOptions::default();
+        let checkpoint = explore_with(&base, &kernels, &contexts, &weights, &space, &options)
+            .unwrap()
+            .checkpoint();
+        for axis in ["col", "row"] {
+            let mut v = serde_json::to_value(&contexts[fdct]).unwrap();
+            v["instances"][mult]["pe"][axis] = 8.into();
+            let mut edited = contexts.clone();
+            edited[fdct] = serde_json::from_value(v).unwrap();
+            let expected =
+                crate::rearrange(&edited[fdct], &presets::rsp2(), &Default::default()).unwrap_err();
+            assert!(
+                matches!(
+                    expected,
+                    RspError::InvalidContext(ScheduleViolation::PeOutsideArray { instance, .. })
+                        if instance == mult
+                ),
+                "{axis}: {expected:?}"
+            );
+            let engine = explore_with(&base, &kernels, &edited, &weights, &space, &options);
+            assert_eq!(engine.unwrap_err(), expected, "{axis}");
+            let resumed = explore_resume(
+                &base,
+                &kernels,
+                &edited,
+                &weights,
+                &space,
+                &options,
+                &checkpoint,
+            );
+            assert_eq!(resumed.unwrap_err(), expected, "{axis}");
+            let reference = explore_reference(
+                &base,
+                &kernels,
+                &edited,
+                &weights,
+                &space,
+                &options.constraints,
+                options.objective,
+            );
+            assert_eq!(reference.unwrap_err(), expected, "{axis}");
         }
     }
 
@@ -1741,8 +1829,7 @@ mod tests {
         let axes = Axes::new(&space);
         let profiles: Vec<ContextProfile> = contexts
             .iter()
-            .zip(&kernels)
-            .map(|(c, k)| ContextProfile::new(c, k, &space.kinds_used()))
+            .map(|c| ContextProfile::new(c, &space.kinds_used()))
             .collect();
         let delay = DelayModel::new();
         let tables = Tables::new(&axes, &profiles, &delay);

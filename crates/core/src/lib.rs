@@ -4,7 +4,7 @@
 //! Coarse-Grained Reconfigurable Architecture for Domain-Specific
 //! Optimization"* (Kim et al., DATE 2005):
 //!
-//! * [`rearrange`] — transforms initial configuration contexts into RSP
+//! * [`rearrange()`] — transforms initial configuration contexts into RSP
 //!   contexts under the paper's two rules: shared resources granted in
 //!   loop-iteration order (RS stalls on shortage), and multi-cycle
 //!   pipelined operations with overlap between consecutive issues (RP).
@@ -19,7 +19,7 @@
 //!   the exploration stage uses instead of exact remapping: it never
 //!   exceeds the exact rearranged elapsed cycles (property-tested), so
 //!   cutting candidates on it never changes the result.
-//! * [`explore`] — enumerates RSP parameters (`shr`, `shc`, stages,
+//! * [`explore()`] — enumerates RSP parameters (`shr`, `shc`, stages,
 //!   resource kinds), applies the eq. (2) cost bound, keeps Pareto points,
 //!   selects an optimum. The engine behind it ([`explore_with`]) settles
 //!   each candidate on its own: it cuts candidates whose estimate,

@@ -91,179 +91,9 @@ impl OpInstance {
     }
 }
 
-/// Word-packed per-cycle demand of a context for one operation class.
-///
-/// For each schedule cycle with at least one matching instance, the
-/// `(row, col) → count` map is stored as a stack of **bit planes**: plane
-/// `p` holds bit `p` of every cell's count, one `u64` word per 64
-/// columns, rows contiguous within a plane. A cell's count is
-/// `Σₚ 2ᵖ · bitₚ(row, col)`; with one operation per PE per cycle (the
-/// mapper's normal output) a single plane suffices and the planes
-/// dimension degenerates to a plain bitset.
-///
-/// This is the exploration-side replacement for rebuilding a dense
-/// `cycles × rows × cols` histogram per candidate architecture: the
-/// profile depends only on the context (not on the sharing plan), is
-/// built once, and reductions over it are branch-free word operations —
-/// a row's demand total is a popcount over `⌈cols/64⌉` words per plane
-/// ([`CycleView::row_count`]), not a scan over sparse cells.
-///
-/// Unlike the sparse cell list this replaces, the packed form also keeps
-/// each non-empty cycle's **schedule cycle index**
-/// ([`CycleDemand::cycle_ids`]): the slack-aware stall bound in
-/// `rsp_core::estimate` needs to know *when* demand occurs, not just how
-/// much, to credit later idle capacity against earlier oversubscribed
-/// cycles.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CycleDemand {
-    rows: usize,
-    cols: usize,
-    /// Words per row of one plane: `⌈cols / 64⌉`.
-    words_per_row: usize,
-    /// Bit planes per cycle: enough for the largest cell count (≥ 1
-    /// whenever any cycle is non-empty).
-    planes: usize,
-    /// Schedule cycle index of each non-empty cycle, ascending.
-    cycle_ids: Vec<u32>,
-    /// Total demand of each non-empty cycle (parallel to `cycle_ids`).
-    totals: Vec<u32>,
-    /// Packed planes, laid out `[cycle][plane][row][word]`.
-    bits: Vec<u64>,
-}
-
-impl CycleDemand {
-    /// Array rows of the profiled context.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Array columns of the profiled context.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Whether no instance matched the profiled class.
-    pub fn is_empty(&self) -> bool {
-        self.cycle_ids.is_empty()
-    }
-
-    /// Total matching instances across the whole schedule.
-    pub fn total(&self) -> u32 {
-        self.totals.iter().sum()
-    }
-
-    /// Schedule cycle indices of the non-empty cycles, ascending.
-    pub fn cycle_ids(&self) -> &[u32] {
-        &self.cycle_ids
-    }
-
-    /// Per-cycle totals of the non-empty cycles (parallel to
-    /// [`CycleDemand::cycle_ids`]).
-    pub fn cycle_totals(&self) -> &[u32] {
-        &self.totals
-    }
-
-    /// Words of one cycle's packed planes.
-    fn cycle_words(&self) -> usize {
-        self.planes * self.rows * self.words_per_row
-    }
-
-    /// Iterates the non-empty cycles as [`CycleView`]s, in schedule
-    /// order.
-    pub fn cycles(&self) -> impl Iterator<Item = CycleView<'_>> {
-        let stride = self.cycle_words();
-        self.cycle_ids
-            .iter()
-            .zip(&self.totals)
-            .enumerate()
-            .map(move |(i, (&cycle, &total))| CycleView {
-                demand: self,
-                base: i * stride,
-                cycle,
-                total,
-            })
-    }
-}
-
-/// One non-empty cycle of a [`CycleDemand`]: a borrowed window over the
-/// packed planes with branch-free reduction accessors.
-#[derive(Debug, Clone, Copy)]
-pub struct CycleView<'a> {
-    demand: &'a CycleDemand,
-    /// Word offset of this cycle's planes in `demand.bits`.
-    base: usize,
-    cycle: u32,
-    total: u32,
-}
-
-impl CycleView<'_> {
-    /// Schedule cycle index of this demand cycle.
-    pub fn cycle(&self) -> u32 {
-        self.cycle
-    }
-
-    /// Total demand issued in this cycle across the whole array.
-    pub fn total(&self) -> u32 {
-        self.total
-    }
-
-    /// Word offset of `row` within plane `p` of this cycle.
-    fn row_base(&self, p: usize, row: usize) -> usize {
-        self.base + (p * self.demand.rows + row) * self.demand.words_per_row
-    }
-
-    /// Demand total of one row: `Σₚ 2ᵖ · popcount(planeₚ[row])`. Pure
-    /// word arithmetic — no per-cell branches, no scratch.
-    pub fn row_count(&self, row: usize) -> u32 {
-        let wpr = self.demand.words_per_row;
-        let mut total = 0u32;
-        for p in 0..self.demand.planes {
-            let start = self.row_base(p, row);
-            let ones: u32 = self.demand.bits[start..start + wpr]
-                .iter()
-                .map(|w| w.count_ones())
-                .sum();
-            total += ones << p;
-        }
-        total
-    }
-
-    /// Demand of one `(row, col)` cell.
-    pub fn count(&self, row: usize, col: usize) -> u32 {
-        let (word, bit) = (col / 64, col % 64);
-        let mut count = 0u32;
-        for p in 0..self.demand.planes {
-            count |= (((self.demand.bits[self.row_base(p, row) + word] >> bit) & 1) as u32) << p;
-        }
-        count
-    }
-
-    /// Visits every non-zero `(row, col, count)` cell in row-major order
-    /// — the same order the dense histogram sweep visits cells, so greedy
-    /// bank absorption over this walk reproduces it exactly. Occupied
-    /// columns are found by `trailing_zeros` over the OR of the planes'
-    /// words, so cost scales with non-zero cells, not `rows × cols`.
-    pub fn for_each_cell<F: FnMut(u16, u16, u32)>(&self, mut f: F) {
-        let wpr = self.demand.words_per_row;
-        for row in 0..self.demand.rows {
-            for word in 0..wpr {
-                let mut occupied = 0u64;
-                for p in 0..self.demand.planes {
-                    occupied |= self.demand.bits[self.row_base(p, row) + word];
-                }
-                while occupied != 0 {
-                    let bit = occupied.trailing_zeros() as usize;
-                    let col = word * 64 + bit;
-                    f(row as u16, col as u16, self.count(row, col));
-                    occupied &= occupied - 1;
-                }
-            }
-        }
-    }
-}
-
-/// Peak per-row and total demand profile of a context (used by the RSP
-/// exploration's upper-bound estimate and by Table 3's `Mult No`).
+/// Peak per-cycle, per-row and per-column demand of a context for one
+/// operation class, and its total (Table 3's `Mult No` is the
+/// multiplications' `max_per_cycle`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DemandProfile {
     /// Maximum operations of the profiled kind issued in any single cycle
@@ -474,67 +304,6 @@ impl ConfigContext {
     /// `max_per_cycle`.
     pub fn mult_profile(&self) -> DemandProfile {
         self.demand_profile(|o| o == OpKind::Mult)
-    }
-
-    /// Packed per-cycle demand of operations selected by `pred` (e.g.
-    /// all operations of one shared functional-unit kind). Storage scales
-    /// with non-empty cycles (`⌈cols/64⌉ · rows · planes` words each),
-    /// never with the full `cycles` dimension.
-    pub fn cycle_demand<F: Fn(OpKind) -> bool>(&self, pred: F) -> CycleDemand {
-        let mut points: Vec<(u32, u16, u16)> = self
-            .instances
-            .iter()
-            .zip(&self.cycles)
-            .filter(|(inst, _)| pred(inst.op))
-            .map(|(inst, &cyc)| (cyc, inst.pe.row as u16, inst.pe.col as u16))
-            .collect();
-        points.sort_unstable();
-
-        // Merge duplicate (cycle, row, col) points into counted cells and
-        // collect per-cycle ids/totals.
-        let mut cells: Vec<(u32, u16, u16, u32)> = Vec::new();
-        let mut cycle_ids: Vec<u32> = Vec::new();
-        let mut totals: Vec<u32> = Vec::new();
-        for (cyc, row, col) in points {
-            if cycle_ids.last() != Some(&cyc) {
-                cycle_ids.push(cyc);
-                totals.push(0);
-            }
-            *totals.last_mut().unwrap() += 1;
-            match cells.last_mut() {
-                Some(l) if (l.0, l.1, l.2) == (cyc, row, col) => l.3 += 1,
-                _ => cells.push((cyc, row, col, 1)),
-            }
-        }
-
-        let rows = self.geometry.rows();
-        let cols = self.geometry.cols();
-        let words_per_row = cols.div_ceil(64);
-        let max_count = cells.iter().map(|&(.., n)| n).max().unwrap_or(0);
-        let planes = (32 - max_count.leading_zeros()).max(1) as usize;
-        let mut bits = vec![0u64; cycle_ids.len() * planes * rows * words_per_row];
-        let mut cycle_index = 0usize;
-        for (cyc, row, col, count) in cells {
-            while cycle_ids[cycle_index] != cyc {
-                cycle_index += 1;
-            }
-            let base = cycle_index * planes * rows * words_per_row;
-            for p in 0..planes {
-                if count >> p & 1 != 0 {
-                    let idx = base + (p * rows + row as usize) * words_per_row + col as usize / 64;
-                    bits[idx] |= 1u64 << (col % 64);
-                }
-            }
-        }
-        CycleDemand {
-            rows,
-            cols,
-            words_per_row,
-            planes,
-            cycle_ids,
-            totals,
-            bits,
-        }
     }
 
     /// Peak read-bus words on any (row, cycle) and peak store words on any

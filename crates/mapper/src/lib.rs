@@ -58,10 +58,7 @@ mod mapper;
 mod refill;
 mod validate;
 
-pub use context::{
-    ConfigContext, CycleDemand, CycleView, DemandProfile, InstanceId, MemAccess, OpInstance,
-    SrcOperand,
-};
+pub use context::{ConfigContext, DemandProfile, InstanceId, MemAccess, OpInstance, SrcOperand};
 pub use encode::{encode_context, ConfigImage, ConfigWord, EncodeError};
 pub use error::{MapError, ScheduleViolation};
 pub use mapper::{map, MapOptions};

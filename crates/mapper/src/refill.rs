@@ -21,7 +21,7 @@
 //!   across a cut.
 //! * [`RefillPlan`] records the segment boundaries plus the per-PE
 //!   reload cost of each segment. The cost is derived from the
-//!   [`ConfigImage`](crate::ConfigImage) encoding: a segment of `d`
+//!   [`ConfigImage`] encoding: a segment of `d`
 //!   cycles occupies `d ×` [`CONFIG_WORD_BYTES`] bytes in every PE's
 //!   cache, and the configuration bus delivers
 //!   [`REFILL_BYTES_PER_CYCLE`] bytes per PE per stall cycle (all PE

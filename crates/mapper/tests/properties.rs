@@ -51,72 +51,6 @@ fn mapping_is_deterministic_across_threads_and_geometries() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The packed bit-plane [`CycleDemand`] agrees cell-for-cell with a
-    /// naive dense recount built straight from the instances: same
-    /// non-empty cycles in order, same per-cycle totals, and the
-    /// popcount row reduction, the per-cell lookup, and the row-major
-    /// cell walk all conserve the recounted demand.
-    #[test]
-    fn cycle_demand_matches_naive_dense_recount(
-        ki in 0usize..10,
-        mult_only in any::<bool>(),
-    ) {
-        let k = &kernels()[ki];
-        let Ok(ctx) = map(&base(8, 8), k, &MapOptions::default()) else {
-            return Ok(());
-        };
-        let pred = |op: OpKind| !mult_only || op == OpKind::Mult;
-        let demand = ctx.cycle_demand(pred);
-
-        // Naive dense recount, straight from the instances.
-        let (rows, cols) = (ctx.geometry().rows(), ctx.geometry().cols());
-        let t = ctx.total_cycles() as usize;
-        let mut dense = vec![0u32; t * rows * cols];
-        for (inst, &cyc) in ctx.instances().iter().zip(ctx.cycles()) {
-            if pred(inst.op) {
-                dense[(cyc as usize * rows + inst.pe.row) * cols + inst.pe.col] += 1;
-            }
-        }
-
-        // The non-empty cycles, in order, are exactly the recount's.
-        let naive_cycles: Vec<u32> = (0..t)
-            .filter(|&c| dense[c * rows * cols..(c + 1) * rows * cols].iter().any(|&d| d > 0))
-            .map(|c| c as u32)
-            .collect();
-        prop_assert_eq!(demand.cycle_ids(), &naive_cycles[..]);
-        prop_assert_eq!(demand.cycle_ids().len(), demand.cycle_totals().len());
-
-        let mut grand_total = 0u32;
-        for view in demand.cycles() {
-            let at = |r: usize, c: usize| dense[(view.cycle() as usize * rows + r) * cols + c];
-
-            // Per-cell lookup and popcount row reduction match the recount.
-            let mut cycle_total = 0u32;
-            for r in 0..rows {
-                let naive_row: u32 = (0..cols).map(|c| at(r, c)).sum();
-                prop_assert_eq!(view.row_count(r), naive_row);
-                cycle_total += naive_row;
-                for c in 0..cols {
-                    prop_assert_eq!(view.count(r, c), at(r, c));
-                }
-            }
-            prop_assert_eq!(view.total(), cycle_total);
-
-            // The row-major cell walk visits every non-zero cell once,
-            // in order, and conserves the total.
-            let mut walked: Vec<(u16, u16, u32)> = Vec::new();
-            view.for_each_cell(|r, c, n| walked.push((r, c, n)));
-            prop_assert!(walked.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
-            prop_assert_eq!(walked.iter().map(|&(.., n)| n).sum::<u32>(), cycle_total);
-            for (r, c, n) in walked {
-                prop_assert!(n > 0);
-                prop_assert_eq!(n, at(r as usize, c as usize));
-            }
-            grand_total += cycle_total;
-        }
-        prop_assert_eq!(demand.total(), grand_total);
-    }
-
     #[test]
     fn mapping_is_total_and_legal_on_any_geometry(
         rows in 2usize..=10,

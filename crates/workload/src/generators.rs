@@ -5,7 +5,7 @@
 //! multiplication of any order, FIR filters of any tap count, 2-D
 //! convolutions, unrolled FFT butterfly loops, and fan-in reduction
 //! trees. All outputs are validated [`Kernel`]s; the fixed parameter
-//! choices committed under `workloads/` live in [`crate::registry`].
+//! choices committed under `workloads/` live in [`crate::registry()`].
 //!
 //! Capacity notes (default 256-deep configuration cache): [`matmul`] with
 //! `n ≥ 11` no longer fits a 4×4 array and `n ≥ 16` also exceeds a 6×6;

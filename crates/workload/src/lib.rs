@@ -6,7 +6,7 @@
 //! families that scale past a 4×4 array), or *drawn* (a seeded
 //! random-DFG generator whose outputs are valid by construction). A
 //! fixed generated suite is committed under the repository's
-//! `workloads/` directory ([`registry`], regenerated by the
+//! `workloads/` directory ([`registry()`], regenerated by the
 //! `workloadgen` binary) and feeds the `flow-workload` benchmark
 //! (`BENCH_workload.json`), whose multi-geometry exploration genuinely
 //! selects the paper's 8×8 array.

@@ -19,7 +19,7 @@ use rsp_workload::{random_kernel, registry, RandomKernelConfig, SUITE_MAX_SLOWDO
 /// in flight across every split boundary).
 fn est_vs_exact(kernel: &Kernel, arch: &RspArchitecture) -> Option<(u32, u32)> {
     let ctx = map(arch.base(), kernel, &MapOptions::default()).ok()?;
-    let est = estimate_stalls(&ctx, kernel, arch);
+    let est = estimate_stalls(&ctx, arch);
     let exact = rearrange(&ctx, arch, &RearrangeOptions::default()).ok()?;
     Some((est.total_cycles, exact.elapsed_cycles()))
 }
